@@ -35,14 +35,13 @@ from .classify import (
     z0,
 )
 from .construct import PairKind, PairSpec, build_representation, catalogue_matrix, pair_for
-from .linalg import OrthComponent, RatMatrix, commutator, component, is_orthogonal
+from .linalg import OrthComponent, RatMatrix, commutator, component
 from .poincare import IntPolynomial, poly_divexact, pt_sl3, pt_so3
 from .surfrep import (
     InvariantClass,
     Mu2Value,
     RelationSign,
     SurfaceRep,
-    check_relation,
     delta1,
     delta2,
     invariants,

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import classify, construct, poincare, surfrep
+from .clifford import MAX_DIM
 from .linalg import NotOrthogonal, RatMatrix
 from .surfrep import (
     InvalidClass,
@@ -79,12 +80,14 @@ def read_rep_file(path: str) -> SurfaceRep:
         raise CliError(EXIT_PARSE, f"parse error: {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise CliError(EXIT_PARSE, "parse error: top-level document must be an object")
-    try:
-        n = int(doc["n"])
-        genus = int(doc["genus"])
-        generators = doc["generators"]
-    except (KeyError, TypeError, ValueError):
+    n, genus, generators = (doc.get(key) for key in ("n", "genus", "generators"))
+    # bool is a subclass of int; a float such as 4.5 is refused, not truncated
+    if "generators" not in doc or any(
+        not isinstance(v, int) or isinstance(v, bool) for v in (n, genus)
+    ):
         raise CliError(EXIT_PARSE, "parse error: need integer keys n, genus and a generators array")
+    if n > MAX_DIM:
+        raise CliError(EXIT_PARSE, f"parse error: n = {n} exceeds the supported maximum {MAX_DIM}")
     if not isinstance(generators, list) or len(generators) != 2 * genus:
         raise CliError(
             EXIT_PARSE, f"parse error: expected {2 * genus} generator matrices"
@@ -175,9 +178,9 @@ def cmd_invariants(args) -> int:
     lines = [f"delta1 = {d1_str}", f"delta2 = {d2.value}"]
     payload: dict[str, Any] = {"delta1": d1_str, "delta2": d2.value}
     if not any(d1):
-        td = surfrep.tilde_delta(rep)
-        lines.append(f"tilde_delta = {td.value}")
-        payload["tilde_delta"] = td.value
+        # with delta1 = 0, mu2 is tilde_delta itself
+        lines.append(f"tilde_delta = {cls.mu2.value}")
+        payload["tilde_delta"] = cls.mu2.value
     lines.append(f"mu1 = {cls.mu1_string()}")
     lines.append(f"mu2 = {cls.mu2.value}")
     payload["mu1"] = cls.mu1_string()

@@ -1,15 +1,21 @@
 """Exact rational matrix arithmetic with orthogonality certification.
 
-Every entry is a `fractions.Fraction`, so orthogonality, determinant signs
-and commutator identities are decided exactly, never numerically.  Inverses
-of orthogonal matrices are taken as transposes; a general inverse is
-deliberately not provided.
+A matrix is stored as a table of Python integers `num` over one positive
+common denominator `den`, kept in lowest terms (the gcd of `den` and every
+numerator is 1), so equal matrices have equal storage.  Products, the
+orthogonality certificate A^T A == den^2 I and fraction-free Bareiss
+determinants all run over Z; a `Fraction` is formed only where an entry or
+determinant is handed out.  Inverses of orthogonal matrices are taken as
+transposes; a general inverse is deliberately not provided.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rationalish = Union[int, str, Fraction]
@@ -38,24 +44,40 @@ def as_fraction(value: Rationalish) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable square matrix over the rationals."""
+    """Immutable square matrix over the rationals, stored as num / den."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, rows: Iterable[Iterable[Rationalish]]):
-        table = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        table = [[as_fraction(x) for x in row] for row in rows]
         n = len(table)
-        if n == 0 or any(len(row) != n for row in table):
+        if any(len(row) != n for row in table):
+            raise ValueError("matrix must be square and non-empty")
+        # the lcm of reduced denominators leaves num / den in lowest terms
+        den = math.lcm(*(x.denominator for row in table for x in row))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in table)
+        self._fill(n, num, den)
+
+    def _fill(self, n: int, num: tuple, den: int) -> None:
+        if n == 0:
             raise ValueError("matrix must be square and non-empty")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", table)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, num: tuple, den: int) -> "RatMatrix":
+        """Wrap an integer table and a denominator already in lowest terms."""
+        m = object.__new__(cls)
+        m._fill(len(num), num, den)
+        return m
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RatMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Rationalish]) -> "RatMatrix":
@@ -67,74 +89,90 @@ class RatMatrix:
     @classmethod
     def block_diag(cls, *blocks: "RatMatrix") -> "RatMatrix":
         n = sum(b.n for b in blocks)
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        # each block is in lowest terms, so over the lcm the whole one is too
+        den = math.lcm(*(b.den for b in blocks))
+        rows = [[0] * n for _ in range(n)]
         offset = 0
         for b in blocks:
-            for i in range(b.n):
-                for j in range(b.n):
-                    rows[offset + i][offset + j] = b.rows[i][j]
+            scale = den // b.den
+            for i, row in enumerate(b.num):
+                rows[offset + i][offset : offset + b.n] = [x * scale for x in row]
             offset += b.n
-        return cls(rows)
+        return cls._of(tuple(map(tuple, rows)), den)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row by row."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
+        return Fraction(self.num[i][j], self.den)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(zip(*self.rows))
+        return RatMatrix._of(tuple(zip(*self.num)), self.den)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        cols = list(zip(*other.rows))
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        cols = tuple(zip(*other.num))
+        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        den = self.den * other.den
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
+        return RatMatrix._of(num, den)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-x for x in row] for row in self.rows])
+        return RatMatrix._of(tuple(tuple(-x for x in row) for row in self.num), self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, RatMatrix) and self.den == other.den and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"RatMatrix[{body}]"
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction Gaussian elimination."""
-        m = [list(row) for row in self.rows]
+        """Exact determinant: Bareiss elimination on num, divided by den^n."""
+        m = [list(row) for row in self.num]
         n = self.n
-        result = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                result = -result
-            result *= m[col][col]
-            inv = Fraction(1) / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return result
+        sign, prev = 1, 1
+        for k in range(n - 1):
+            if m[k][k] == 0:
+                pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+                if pivot is None:
+                    return Fraction(0)
+                m[k], m[pivot] = m[pivot], m[k]
+                sign = -sign
+            top, p = m[k], m[k][k]
+            for row in m[k + 1 :]:
+                f = row[k]
+                # exact: every entry is a (k+1)-minor of num after this step
+                row[k + 1 :] = [(a * p - f * b) // prev for a, b in zip(row[k + 1 :], top[k + 1 :])]
+            prev = p
+        return Fraction(sign * m[n - 1][n - 1], self.den**n)
 
     def is_orthogonal(self) -> bool:
-        return self.transpose() * self == RatMatrix.identity(self.n)
-
-
-def is_orthogonal(a: RatMatrix) -> bool:
-    """True iff a^T a equals the identity exactly."""
-    return a.is_orthogonal()
+        """True iff A^T A is exactly the identity, checked as num^T num == den^2 I."""
+        cols = tuple(zip(*self.num))
+        d2 = self.den * self.den
+        for i, ci in enumerate(cols):
+            if sum(map(mul, ci, ci)) != d2:
+                return False
+            for cj in cols[i + 1 :]:
+                if sum(map(mul, ci, cj)):
+                    return False
+        return True
 
 
 def component(a: RatMatrix) -> OrthComponent:

@@ -9,12 +9,11 @@ component vector because n is even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 from .clifford import KernelElement, commutator_product, lift_orthogonal
-from .linalg import NotOrthogonal, OrthComponent, RatMatrix, commutator, component
+from .linalg import NotOrthogonal, RatMatrix, commutator
 
 
 class RelationViolated(ValueError):
@@ -78,13 +77,17 @@ class InvariantClass:
 class SurfaceRep:
     """Genus g >= 2 representation into PO(n), n >= 4 even, by O(n) lifts.
 
-    Construction certifies each generator exactly orthogonal and checks the
-    surface relation (commutator product equal to +-I).
+    Construction certifies each generator exactly orthogonal, takes its
+    determinant sign, and checks the surface relation (commutator product
+    equal to +-I).  The component bits and the relation sign are kept, so
+    every invariant reads them instead of recomputing them.
     """
 
     genus: int
     n: int
     gens: tuple[RatMatrix, ...]
+    component_bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    relation_sign: RelationSign = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.genus < 2:
@@ -97,44 +100,39 @@ class SurfaceRep:
             raise ValueError(
                 f"expected {2 * self.genus} generator matrices, got {len(gens)}"
             )
+        bits = []
         for k, m in enumerate(gens):
             if m.n != self.n:
                 raise ValueError(f"generator {generator_label(k)} is not {self.n}x{self.n}")
             if not m.is_orthogonal():
                 raise NotOrthogonal(f"generator {generator_label(k)} is not orthogonal")
-        _relation_sign(gens, self.n)
-
-
-def _relation_sign(gens: Sequence[RatMatrix], n: int) -> RelationSign:
-    product = RatMatrix.identity(n)
-    for i in range(0, len(gens), 2):
-        product = product * commutator(gens[i], gens[i + 1])
-    if product == RatMatrix.identity(n):
-        return RelationSign.PLUS_I
-    if product == -RatMatrix.identity(n):
-        return RelationSign.MINUS_I
-    raise RelationViolated("commutator product of the generators is not +-I")
-
-
-def check_relation(rep: SurfaceRep) -> RelationSign:
-    """Which of +-I the commutator product equals.
-
-    This simultaneously certifies the projective surface relation and
-    computes the orthogonal-lift obstruction.
-    """
-    return _relation_sign(rep.gens, rep.n)
+            # an orthogonal matrix has determinant +-1; -1 is outside SO(n)
+            bits.append(0 if m.det() == 1 else 1)
+        identity = product = RatMatrix.identity(self.n)
+        for i in range(0, len(gens), 2):
+            product = product * commutator(gens[i], gens[i + 1])
+        if product == identity:
+            sign = RelationSign.PLUS_I
+        elif product == -identity:
+            sign = RelationSign.MINUS_I
+        else:
+            raise RelationViolated("commutator product of the generators is not +-I")
+        object.__setattr__(self, "component_bits", tuple(bits))
+        object.__setattr__(self, "relation_sign", sign)
 
 
 def delta2(rep: SurfaceRep) -> RelationSign:
-    """Obstruction to lifting the representation to O(n); alias of check_relation."""
-    return check_relation(rep)
+    """Which of +-I the commutator product equals: the obstruction to lifting to O(n).
+
+    The sign is computed once, when the representation is certified; it
+    certifies the projective surface relation at the same time.
+    """
+    return rep.relation_sign
 
 
 def delta1(rep: SurfaceRep) -> tuple[int, ...]:
     """Component vector: bit k is set iff generator k lies outside SO(n)."""
-    return tuple(
-        0 if component(m) == OrthComponent.SO else 1 for m in rep.gens
-    )
+    return rep.component_bits
 
 
 _KERNEL_TO_MU2 = {

@@ -89,6 +89,14 @@ nonzero_fractions = small_fractions.filter(lambda q: q != 0)
 
 
 @st.composite
+def rational_tables(draw, n: int) -> list[list[Fraction]]:
+    """An n x n table of small fractions with many zeros, so singular
+    matrices and zero pivots are common."""
+    entry = st.one_of(st.just(Fraction(0)), small_fractions)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
 def orthogonal_matrices(draw, n: int) -> RatMatrix:
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rotations = draw(st.integers(min_value=0, max_value=3))

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from pglrep.cli import main
+from pglrep.cli import main, read_rep_file, write_rep_file
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TRIVIAL = {
     "n": 4,
@@ -85,6 +88,20 @@ class TestInvariants:
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "invariants", str(tmp_path / "nope.json"))
         assert code == 1
+
+    @pytest.mark.parametrize("key,value", [("n", 4.5), ("n", True), ("n", "4"), ("genus", 2.0), ("genus", True)])
+    def test_non_integer_header_exits_1(self, capsys, tmp_path, key, value):
+        doc = dict(TRIVIAL, **{key: value})
+        code, out, err = run(capsys, "invariants", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert "need integer keys n, genus" in err
+
+    def test_dimension_above_clifford_cap_exits_1(self, capsys, tmp_path):
+        eye = [[int(i == j) for j in range(18)] for i in range(18)]
+        doc = {"n": 18, "genus": 2, "generators": [eye] * 4}
+        code, out, err = run(capsys, "invariants", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert "n = 18 exceeds the supported maximum 16" in err
 
 
 class TestConstruct:
@@ -236,3 +253,88 @@ class TestDeterminism:
                 "--mu1", "0110", "--mu2", "omega", "--out", path,
             )
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# Byte-exact outputs.  The fixtures hold genus-2, n=4 representations
+# conjugated by the product of the (3,4,5) and (5,12,13) plane rotations, so
+# their entries are "p/q" strings: conjugated_omega.json is (X4, X'4, I, I),
+# conjugated_reflections.json is (Y4, Y'4, X4, X'4).
+CONSTRUCT_1000_OMEGA = """{
+ "n": 4,
+ "genus": 2,
+ "generators": [
+  [
+   [0, -1, 0, 0],
+   [1, 0, 0, 0],
+   [0, 0, 1, 0],
+   [0, 0, 0, -1]
+  ],
+  [
+   [0, 1, 0, 0],
+   [1, 0, 0, 0],
+   [0, 0, 0, 1],
+   [0, 0, 1, 0]
+  ],
+  [
+   [1, 0, 0, 0],
+   [0, 1, 0, 0],
+   [0, 0, 1, 0],
+   [0, 0, 0, 1]
+  ],
+  [
+   [1, 0, 0, 0],
+   [0, 1, 0, 0],
+   [0, 0, 1, 0],
+   [0, 0, 0, 1]
+  ]
+ ]
+}
+"""
+
+GOLDEN_INVARIANTS = {
+    ("conjugated_omega.json", "text"): (
+        "delta1 = 0000\n"
+        "delta2 = -I\n"
+        "tilde_delta = omega\n"
+        "mu1 = 0000\n"
+        "mu2 = omega\n"
+    ),
+    ("conjugated_omega.json", "json"): (
+        '{\n "delta1": "0000",\n "delta2": "-I",\n "tilde_delta": "omega",\n'
+        ' "mu1": "0000",\n "mu2": "omega"\n}\n'
+    ),
+    ("conjugated_reflections.json", "text"): (
+        "delta1 = 1100\n"
+        "delta2 = -I\n"
+        "mu1 = 1100\n"
+        "mu2 = omega\n"
+    ),
+    ("conjugated_reflections.json", "json"): (
+        '{\n "delta1": "1100",\n "delta2": "-I",\n'
+        ' "mu1": "1100",\n "mu2": "omega"\n}\n'
+    ),
+}
+
+
+class TestGolden:
+    def test_construct_file(self, capsys, tmp_path):
+        out_path = tmp_path / "c.json"
+        code, out, err = run(
+            capsys, "construct", "--genus", "2", "--n", "4",
+            "--mu1", "1000", "--mu2", "omega", "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        assert out == f"wrote {out_path} (g=2, n=4, mu1=1000, mu2=omega)\n"
+        assert out_path.read_bytes() == CONSTRUCT_1000_OMEGA.encode()
+
+    @pytest.mark.parametrize("name,fmt", sorted(GOLDEN_INVARIANTS))
+    def test_invariants_output(self, capsys, name, fmt):
+        code, out, err = run(capsys, "invariants", str(FIXTURES / name), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == GOLDEN_INVARIANTS[name, fmt]
+
+    @pytest.mark.parametrize("name", ["conjugated_omega.json", "conjugated_reflections.json"])
+    def test_rational_file_round_trip(self, tmp_path, name):
+        out_path = tmp_path / name
+        write_rep_file(str(out_path), read_rep_file(str(FIXTURES / name)))
+        assert out_path.read_bytes() == (FIXTURES / name).read_bytes()

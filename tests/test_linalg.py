@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,17 +13,18 @@ from pglrep.linalg import (
     RatMatrix,
     commutator,
     component,
-    is_orthogonal,
 )
 
 import randmat
 
 
 def test_is_orthogonal_examples():
-    assert is_orthogonal(RatMatrix.identity(3))
+    assert RatMatrix.identity(3).is_orthogonal()
     rot = RatMatrix([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
-    assert is_orthogonal(rot)
-    assert not is_orthogonal(RatMatrix([[1, 1], [0, 1]]))
+    assert rot.is_orthogonal()
+    assert not RatMatrix([[1, 1], [0, 1]]).is_orthogonal()
+    # unit columns that are not perpendicular
+    assert not RatMatrix([[1, "3/5"], [0, "4/5"]]).is_orthogonal()
 
 
 def test_component_examples():
@@ -80,3 +83,120 @@ def test_commutator_ignores_sign_of_either_factor(seed, n):
     assert commutator(-a, b) == base
     assert commutator(a, -b) == base
     assert commutator(-a, -b) == base
+
+
+# ---------------------------------------------------------------------------
+# integer storage against a plain-Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def ref_det(a):
+    """Leibniz formula: a signed sum over all permutations."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, col in enumerate(perm):
+            term *= a[i][col]
+        total += term
+    return total
+
+
+def ref_is_orthogonal(a):
+    n = len(a)
+    return ref_mul(ref_transpose(a), a) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def as_lists(m):
+    return [list(row) for row in m.rows]
+
+
+def assert_lowest_terms(m):
+    assert all(type(x) is int for x in chain.from_iterable(m.num))
+    assert m.den > 0
+    assert math.gcd(m.den, *chain.from_iterable(m.num)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=5))
+def test_operations_match_fraction_reference(data, n):
+    a = data.draw(randmat.rational_tables(n))
+    b = data.draw(randmat.rational_tables(n))
+    ma, mb = RatMatrix(a), RatMatrix(b)
+    for m in (ma, ma * mb, ma.transpose(), -ma):
+        assert_lowest_terms(m)
+    assert as_lists(ma) == a
+    assert all(ma.entry(i, j) == a[i][j] for i in range(n) for j in range(n))
+    assert as_lists(ma * mb) == ref_mul(a, b)
+    assert as_lists(ma.transpose()) == ref_transpose(a)
+    assert as_lists(-ma) == [[-x for x in row] for row in a]
+    assert ma.det() == ref_det(a)
+    assert ma.is_orthogonal() == ref_is_orthogonal(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=5), randmat.nonzero_fractions)
+def test_det_with_row_swaps_and_singular_matrices(data, n, q):
+    a = data.draw(randmat.rational_tables(n))
+    # a zero first pivot over a nonzero entry forces a row swap
+    a[0][0], a[n - 1][0] = Fraction(0), q
+    assert RatMatrix(a).det() == ref_det(a)
+    singular = [row[:] for row in a]
+    singular[n - 1] = [q * x for x in singular[0]]
+    assert RatMatrix(singular).det() == ref_det(singular) == 0
+
+
+def test_det_examples():
+    assert RatMatrix([[0, 1], [1, 0]]).det() == -1
+    assert RatMatrix([[0, 0], [1, 1]]).det() == 0
+    assert RatMatrix([["1/2", "1/3"], ["1/4", "1/5"]]).det() == Fraction(1, 60)
+    assert RatMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=5), randmat.nonzero_fractions)
+def test_orthogonality_certificate(data, n, q):
+    m = data.draw(randmat.orthogonal_matrices(n))
+    assert m.is_orthogonal() and ref_is_orthogonal(as_lists(m))
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    rows = as_lists(m)
+    rows[i][j] += q
+    assert RatMatrix(rows).is_orthogonal() == ref_is_orthogonal(rows)
+    if i != j:
+        # column j replaced by column i: every column still has unit length
+        rows = as_lists(m)
+        for r in range(n):
+            rows[r][j] = rows[r][i]
+        assert not RatMatrix(rows).is_orthogonal()
+        assert not ref_is_orthogonal(rows)
+
+
+def test_equal_values_with_different_denominators():
+    half = RatMatrix([["2/4", 0], [0, 1]])
+    assert half == RatMatrix([["1/2", 0], [0, 1]])
+    assert hash(half) == hash(RatMatrix([[Fraction(1, 2), 0], [0, 1]]))
+    assert half.den == 2
+    product = RatMatrix.diagonal(["1/6", "2/3"]) * RatMatrix.diagonal([3, "3/2"])
+    assert product == half and hash(product) == hash(half)
+    assert product.num == half.num and product.den == half.den
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=5))
+def test_products_reduce_to_the_same_storage(data, n):
+    a = RatMatrix(data.draw(randmat.rational_tables(n)))
+    q = data.draw(randmat.orthogonal_matrices(n))
+    back = a * q * q.transpose()
+    assert back == a and hash(back) == hash(a)
+    assert (back.num, back.den) == (a.num, a.den)

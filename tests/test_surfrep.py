@@ -15,7 +15,6 @@ from pglrep.surfrep import (
     RelationSign,
     RelationViolated,
     SurfaceRep,
-    check_relation,
     delta1,
     delta2,
     invariants,
@@ -64,16 +63,18 @@ class TestConstruction:
 
 class TestCheckRelation:
     def test_trivial(self):
-        assert check_relation(rep()) == RelationSign.PLUS_I
+        assert delta2(rep()) == RelationSign.PLUS_I
 
     def test_anticommuting_pair(self):
-        assert check_relation(rep(X4, XP4)) == RelationSign.MINUS_I
+        assert delta2(rep(X4, XP4)) == RelationSign.MINUS_I
 
     def test_commuting_pair(self):
-        assert check_relation(rep(Y4, YP4)) == RelationSign.PLUS_I
+        assert delta2(rep(Y4, YP4)) == RelationSign.PLUS_I
 
     def test_delta2_is_the_same_computation(self):
-        assert delta2(rep(X4, XP4)) == RelationSign.MINUS_I
+        # delta2 reads the sign the constructor computed while certifying
+        r = rep(X4, XP4)
+        assert delta2(r) is r.relation_sign is RelationSign.MINUS_I
 
 
 class TestDelta1:
