@@ -8,11 +8,9 @@ series.  See the README for the command-line surface.
 from .clifford import (
     CliffordElement,
     KernelElement,
-    blade_mul,
     commutator_product,
     lift_orthogonal,
     twisted_conjugation_matrix,
-    versor_inverse,
     volume_element,
 )
 from .classify import (

@@ -21,6 +21,9 @@ from .surfrep import InvariantClass, Mu2Value
 
 MAX_GROUP_SIZE = 1 << 16
 
+# invariant classes grow as 2^(2g+1) + 1; genus 8 already lists 131 073
+MAX_GENUS = 8
+
 
 class BadInput(ValueError):
     """Arguments outside the supported range."""
@@ -228,6 +231,8 @@ def _zero_mu1(g: int) -> tuple[int, ...]:
 def _check_g_n(g: int, n: int) -> None:
     if g < 2:
         raise BadInput(f"genus must be >= 2, got {g}")
+    if g > MAX_GENUS:
+        raise BadInput(f"genus {g} exceeds the supported maximum {MAX_GENUS}")
     if n < 4 or n % 2 != 0:
         raise BadInput(f"n must be even and >= 4, got {n}")
 

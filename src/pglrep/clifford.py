@@ -1,7 +1,10 @@
 """Exact Clifford algebra Cl(n) over the rationals, positive-definite signature.
 
 Basis blades are n-bit masks (bit i set means the basis vector e_{i+1} occurs),
-so multiplication reduces to a transposition count plus an XOR.  Orthogonal
+so a blade product is a sign plus an XOR.  Every product of multivectors,
+including the norms, images and commutators below, runs in one kernel,
+`CliffordElement.__mul__`, over Z: each operand is cleared of its
+denominators once and each result term is divided once.  Orthogonal
 matrices are lifted to the Lipschitz group as products of *non-normalised*
 reflection vectors: unit normalisation would force square roots, while every
 obstruction computed downstream is a commutator product and therefore
@@ -53,22 +56,19 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
 
 
-def blade_mul(a: int, b: int, n: int) -> tuple[int, int]:
-    """Product of two basis blades: (sign, result mask).
+def _parity_mask(a: int) -> int:
+    """Bit j is set when an odd number of the bits of a lie above j.
 
-    The sign counts the transpositions needed to sort the concatenated
-    index lists; contractions contribute +1 since e_i^2 = +1.
+    The blade product a * b then has sign (-1)^popcount(mask & b): the
+    parity of the transpositions that sort the concatenated index lists,
+    with e_i^2 = +1 for every contraction.
     """
-    _check_dimension(n)
-    top = 1 << n
-    if not (0 <= a < top and 0 <= b < top):
-        raise ValueError("blade mask out of range for the given dimension")
-    swaps = 0
+    mask = 0
     x = a >> 1
     while x:
-        swaps += (x & b).bit_count()
+        mask ^= x
         x >>= 1
-    return (1 if swaps % 2 == 0 else -1), a ^ b
+    return mask
 
 
 class CliffordElement:
@@ -150,21 +150,22 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         self._require_same_algebra(other)
-        acc: Dict[int, Fraction] = {}
-        rhs = list(other.terms.items())
+        # clear each operand's denominators, multiply over Z, divide once per term
+        da = math.lcm(*(c.denominator for c in self.terms.values()))
+        db = math.lcm(*(c.denominator for c in other.terms.values()))
+        rhs = [(mb, cb.numerator * (db // cb.denominator)) for mb, cb in other.terms.items()]
+        acc: Dict[int, int] = {}
         for ma, ca in self.terms.items():
+            ca = ca.numerator * (da // ca.denominator)
+            pm = _parity_mask(ma)
             for mb, cb in rhs:
-                # inline blade product; masks are valid by the invariants
-                swaps = 0
-                x = ma >> 1
-                while x:
-                    swaps += (x & mb).bit_count()
-                    x >>= 1
-                value = ca * cb if swaps % 2 == 0 else -ca * cb
                 mask = ma ^ mb
-                prev = acc.get(mask)
-                acc[mask] = value if prev is None else prev + value
-        return CliffordElement._raw(self.n, acc)
+                if (pm & mb).bit_count() & 1:
+                    acc[mask] = acc.get(mask, 0) - ca * cb
+                else:
+                    acc[mask] = acc.get(mask, 0) + ca * cb
+        den = da * db
+        return CliffordElement._raw(self.n, {m: Fraction(c, den) for m, c in acc.items() if c})
 
     def __rmul__(self, other) -> "CliffordElement":
         if isinstance(other, (int, Fraction)):
@@ -224,106 +225,42 @@ class CliffordElement:
         return tuple(self.terms.get(1 << i, Fraction(0)) for i in range(self.n))
 
 
-def mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Exact Clifford product (bilinear extension of blade_mul)."""
-    return x * y
-
-
-def grade_involution(x: CliffordElement) -> CliffordElement:
-    return x.grade_involution()
-
-
-def reversal(x: CliffordElement) -> CliffordElement:
-    return x.reversal()
-
-
 def volume_element(n: int) -> CliffordElement:
     """The oriented volume element e_1 ... e_n."""
     _check_dimension(n)
     return CliffordElement(n, {(1 << n) - 1: 1})
 
 
-def versor_inverse(g: CliffordElement) -> CliffordElement:
-    """Inverse of a Lipschitz-group element: reversal(g) / (g reversal(g))."""
+def _versor_norm(g: CliffordElement) -> Fraction:
+    """The scalar g reversal(g); NotAVersor when it is not a nonzero scalar."""
     norm = g * g.reversal()
     if not norm.is_scalar() or norm.is_zero():
         raise NotAVersor(f"g * reversal(g) = {norm!r} is not a nonzero scalar")
-    return g.reversal() * (Fraction(1) / norm.scalar_part())
-
-
-def _parity_mask(a: int) -> int:
-    """Bit j is set when an odd number of the bits of a lie above j.
-
-    The blade product a * b then has sign (-1)^popcount(mask & b), the same
-    transposition parity that blade_mul counts.
-    """
-    mask = 0
-    x = a >> 1
-    while x:
-        mask ^= x
-        x >>= 1
-    return mask
-
-
-def _int_product(x: Mapping[int, int], y: Mapping[int, int]) -> Dict[int, int]:
-    """Clifford product of two integer term maps, zero terms pruned."""
-    acc: Dict[int, int] = {}
-    rhs = list(y.items())
-    for ma, ca in x.items():
-        pm = _parity_mask(ma)
-        for mb, cb in rhs:
-            value = -ca * cb if (pm & mb).bit_count() & 1 else ca * cb
-            mask = ma ^ mb
-            acc[mask] = acc.get(mask, 0) + value
-    return {m: c for m, c in acc.items() if c}
+    return norm.scalar_part()
 
 
 def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
     """Matrix of x -> alpha(g) x g^-1 on vectors; exactly orthogonal.
 
     This realises the covering of the orthogonal group by the Lipschitz
-    group: reflections for odd g, rotations for even g.  The map does not
-    change when g is rescaled, so g's coefficients are first multiplied by
-    their common denominator.  The inverse is expanded as reversal over
-    norm; the norm and every image alpha(g) e_i reversal(g) are then
-    products over Z, and each matrix entry is one division at the end.
-    Both certificates are checked on those integer products: NotAVersor
-    when g reversal(g) is not a nonzero scalar, NotVectorPreserving when an
-    image is not a nonzero pure vector.
+    group: reflections for odd g, rotations for even g.  The inverse is
+    expanded as reversal over norm, so column i is alpha(g) e_i reversal(g)
+    divided by g reversal(g).  NotAVersor is raised when that norm is not a
+    nonzero scalar, NotVectorPreserving when an image is not a nonzero pure
+    vector.
     """
     n = g.n
-    den = math.lcm(*(c.denominator for c in g.terms.values()))
-    ints = {m: int(c * den) for m, c in g.terms.items()}
-    # the reversal sign (-1)^(k(k-1)/2) of grade k depends on k mod 4 only
-    rev = {m: (-c if (m.bit_count() >> 1) & 1 else c) for m, c in ints.items()}
-    norm = _int_product(ints, rev)
-    if set(norm) != {0}:
-        true_norm = CliffordElement(n, {m: Fraction(c, den * den) for m, c in norm.items()})
-        raise NotAVersor(f"g * reversal(g) = {true_norm!r} is not a nonzero scalar")
-    scale = norm[0]
-    alpha = {m: (-c if m.bit_count() & 1 else c) for m, c in ints.items()}
+    norm = _versor_norm(g)
+    alpha, rev = g.grade_involution(), g.reversal()
     columns = []
     for i in range(n):
-        image = _int_product(_int_product(alpha, {1 << i: 1}), rev)
-        grades = {m.bit_count() for m in image}
-        if grades != {1}:
+        image = alpha * CliffordElement.basis_vector(n, i) * rev
+        if image.grades() != {1}:
             raise NotVectorPreserving(
-                f"image of e{i + 1} has grades {sorted(grades)}, expected {{1}}"
+                f"image of e{i + 1} has grades {sorted(image.grades())}, expected {{1}}"
             )
-        columns.append([Fraction(image.get(1 << r, 0), scale) for r in range(n)])
+        columns.append([c / norm for c in image.vector_coefficients()])
     return RatMatrix(zip(*columns))
-
-
-def _primitive(coords: Sequence[Fraction]) -> list[Fraction]:
-    """Rescale a nonzero rational vector to coprime integer coordinates."""
-    den = 1
-    for c in coords:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coords]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    return [Fraction(v // content) for v in ints]
 
 
 def lift_orthogonal(a: RatMatrix) -> CliffordElement:
@@ -332,29 +269,29 @@ def lift_orthogonal(a: RatMatrix) -> CliffordElement:
     Column-by-column reflection reduction: for each i in order, if the
     remaining matrix sends e_i to v != e_i, multiply by the reflection along
     v - e_i (which fixes the already-reduced columns).  The lift is a product
-    of at most n rational reflection vectors; its grade parity is even
-    exactly when det(a) = +1.
+    of at most n primitive integer reflection vectors; its grade parity is
+    even exactly when det(a) = +1.
     """
     if not a.is_orthogonal():
         raise NotOrthogonal("only exactly orthogonal matrices can be lifted")
     n = a.n
     _check_dimension(n)
-    work = [list(row) for row in a.rows]
+    work = a
     lift = CliffordElement.scalar(n, 1)
     for i in range(n):
-        v = [work[r][i] for r in range(n)]
-        if all(v[r] == (1 if r == i else 0) for r in range(n)):
+        # den * (v - e_i) over Z; reflections are scale-free
+        w = [row[i] - (work.den if r == i else 0) for r, row in enumerate(work.num)]
+        if not any(w):
             continue
-        # reflections are scale-free, so use the primitive integer vector
-        u = _primitive([v[r] - (1 if r == i else 0) for r in range(n)])
+        content = math.gcd(*w)
+        u = [x // content for x in w]
         lift = lift * CliffordElement.vector(n, u)
-        # reflect every remaining column across the hyperplane orthogonal to u
-        uu = sum(c * c for c in u)
-        for col in range(i, n):
-            w = [work[r][col] for r in range(n)]
-            f = 2 * sum(x * y for x, y in zip(w, u)) / uu
-            for r in range(n):
-                work[r][col] = w[r] - f * u[r]
+        uu = sum(x * x for x in u)
+        reflection = RatMatrix(
+            [[Fraction(uu * (r == c) - 2 * ur * uc, uu) for c, uc in enumerate(u)]
+             for r, ur in enumerate(u)]
+        )
+        work = reflection * work
     return lift
 
 
@@ -374,10 +311,7 @@ def commutator_product(lifts: Sequence[CliffordElement]) -> KernelElement:
     product = CliffordElement.scalar(n, 1)
     scale = Fraction(1)
     for g in lifts:
-        norm = g * g.reversal()
-        if not norm.is_scalar() or norm.is_zero():
-            raise NotAVersor(f"g * reversal(g) = {norm!r} is not a nonzero scalar")
-        scale *= norm.scalar_part()
+        scale *= _versor_norm(g)
     for k in range(0, len(lifts), 2):
         g, h = lifts[k], lifts[k + 1]
         product = product * g * h * g.reversal() * h.reversal()

@@ -107,18 +107,6 @@ class IntPolynomial:
         return result
 
 
-def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a + b
-
-
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a * b
-
-
-def poly_pow(a: IntPolynomial, k: int) -> IntPolynomial:
-    return a**k
-
-
 def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     """Quotient q with q * den = num exactly; NotDivisible otherwise."""
     if den.is_zero():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pglrep.classify import (
+    MAX_GENUS,
     ActionNotDescending,
     BadInput,
     FinAbGroup,
@@ -140,6 +141,8 @@ class TestInvariantClasses:
             invariant_classes(1, 4)
         with pytest.raises(BadInput):
             invariant_classes(2, 5)
+        with pytest.raises(BadInput):
+            invariant_classes(MAX_GENUS + 1, 4)
 
 
 class TestLiftsTo:

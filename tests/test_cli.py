@@ -234,6 +234,22 @@ class TestTables:
         assert run(capsys, "poincare", "--w2", "3", "--genus", "2")[0] == 1
         assert run(capsys, "nonsense")[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--genus", "14", "--n", "4"),
+            ("components", "--genus", "14", "--n", "4"),
+            ("egl-components", "--deg", "0", "--genus", "14", "--n", "4"),
+        ],
+    )
+    def test_genus_above_cap_exits_1(self, capsys, argv):
+        # 2^29 + 1 classes at genus 14: refused before any is enumerated
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "exceeds the supported maximum" in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "construct", "--help")[0] == 0

@@ -11,12 +11,9 @@ from pglrep.clifford import (
     NotAVersor,
     NotInKernel,
     NotVectorPreserving,
-    blade_mul,
     commutator_product,
     lift_orthogonal,
-    mul,
     twisted_conjugation_matrix,
-    versor_inverse,
     volume_element,
 )
 from pglrep.linalg import NotOrthogonal, RatMatrix
@@ -31,19 +28,50 @@ def e(n, *indices):
     return out
 
 
+def _reference_product(x, y):
+    """The product over Q term by term, each blade sign by counting the
+    transpositions that sort the concatenated index lists."""
+    acc = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            swaps = 0
+            a = ma >> 1
+            while a:
+                swaps += (a & mb).bit_count()
+                a >>= 1
+            acc[ma ^ mb] = acc.get(ma ^ mb, Fraction(0)) + (-1) ** swaps * ca * cb
+    return CliffordElement(x.n, acc)
+
+
 class TestBladeMul:
     def test_square_of_generator(self):
-        assert blade_mul(0b1, 0b1, 4) == (1, 0)
+        assert CliffordElement(4, {0b1: 1}) * CliffordElement(4, {0b1: 1}) == CliffordElement(4, {0: 1})
 
     def test_ordered_product(self):
-        assert blade_mul(0b01, 0b10, 4) == (1, 0b11)
+        assert CliffordElement(4, {0b01: 1}) * CliffordElement(4, {0b10: 1}) == CliffordElement(4, {0b11: 1})
 
     def test_one_transposition(self):
-        assert blade_mul(0b10, 0b01, 4) == (-1, 0b11)
+        assert CliffordElement(4, {0b10: 1}) * CliffordElement(4, {0b01: 1}) == CliffordElement(4, {0b11: -1})
 
     def test_mask_range_checked(self):
         with pytest.raises(ValueError):
-            blade_mul(1 << 4, 1, 4)
+            CliffordElement(4, {1 << 4: 1})
+
+
+@st.composite
+def _operands(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    return draw(randmat.multivectors(n)), draw(randmat.multivectors(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operands(), st.one_of(st.integers(min_value=-5, max_value=5), randmat.small_fractions))
+def test_product_matches_reference(operands, scalar):
+    x, y = operands
+    assert x * y == _reference_product(x, y)
+    s = CliffordElement.scalar(x.n, scalar)
+    assert x * scalar == _reference_product(x, s)
+    assert scalar * x == _reference_product(s, x)
 
 
 class TestProduct:
@@ -58,11 +86,11 @@ class TestProduct:
         # oracle: square omega_4 by repeated generator products
         omega = e(4, 0, 1, 2, 3)
         assert omega == volume_element(4)
-        assert mul(omega, omega) == CliffordElement.scalar(4, 1)
+        assert omega * omega == CliffordElement.scalar(4, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mul(CliffordElement.scalar(2, 1), CliffordElement.scalar(3, 1))
+            CliffordElement.scalar(2, 1) * CliffordElement.scalar(3, 1)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -96,26 +124,6 @@ def test_algebra_axioms(x, y, z):
 def test_volume_element_small_cases():
     assert volume_element(1) == CliffordElement.basis_vector(1, 0)
     assert volume_element(2) == e(2, 0, 1)
-
-
-class TestVersorInverse:
-    def test_reflection_is_involutive(self):
-        g = CliffordElement.basis_vector(3, 0)
-        assert versor_inverse(g) == g
-
-    def test_scaling(self):
-        g = 2 * CliffordElement.basis_vector(3, 0)
-        assert versor_inverse(g) == CliffordElement(3, {0b001: Fraction(1, 2)})
-
-    def test_unit_vector(self):
-        g = CliffordElement.vector(2, [Fraction(3, 5), Fraction(4, 5)])
-        assert versor_inverse(g) == g
-        assert g * versor_inverse(g) == CliffordElement.scalar(2, 1)
-
-    def test_rejects_non_versor(self):
-        junk = CliffordElement.scalar(4, 1) + volume_element(4)
-        with pytest.raises(NotAVersor):
-            versor_inverse(junk)
 
 
 class TestTwistedConjugation:
@@ -164,18 +172,21 @@ class TestTwistedConjugation:
 
 
 def _dense_twisted_conjugation(g):
-    """Reference route: every column as a product of multivectors over Q."""
+    """Reference route: every column as a product of multivectors over Q,
+    through _reference_product rather than the kernel under test."""
     n = g.n
-    norm = g * g.reversal()
+    rev = g.reversal()
+    norm = _reference_product(g, rev)
     if not norm.is_scalar() or norm.is_zero():
         raise NotAVersor("reference route")
-    scale = Fraction(1) / norm.scalar_part()
     columns = []
     for i in range(n):
-        image = g.grade_involution() * CliffordElement.basis_vector(n, i) * g.reversal()
+        image = _reference_product(
+            _reference_product(g.grade_involution(), CliffordElement.basis_vector(n, i)), rev
+        )
         if image.is_zero() or image.grades() != {1}:
             raise NotVectorPreserving("reference route")
-        columns.append((image * scale).vector_coefficients())
+        columns.append([c / norm.scalar_part() for c in image.vector_coefficients()])
     return RatMatrix(zip(*columns))
 
 
@@ -223,6 +234,12 @@ class TestCommutatorProduct:
         assert value in (KernelElement.OMEGA, KernelElement.MINUS_OMEGA)
         # cross-check at matrix level: the lifted pair anti-commutes
         assert x4 * xp4 == -(xp4 * x4)
+
+    def test_rejects_non_versor(self):
+        # (1 + omega)(1 + omega) = 2 + 2 omega in Cl(4) is not a scalar
+        one = CliffordElement.scalar(4, 1)
+        with pytest.raises(NotAVersor):
+            commutator_product([one, one + volume_element(4)])
 
     def test_relation_failure_detected(self):
         g = lift_orthogonal(randmat.plane_rotation(3, 0, 1, (3, 4, 5)))
