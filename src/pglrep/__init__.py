@@ -9,6 +9,7 @@ from .clifford import (
     CliffordElement,
     KernelElement,
     commutator_product,
+    lift_factors,
     lift_orthogonal,
     twisted_conjugation_matrix,
     volume_element,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -51,6 +52,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+# Fraction() alone would also take "1e10000000", " 1", "0.5" and "1_0", and
+# an exponent costs time without bound; only integers and "p/q" are documented
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _entry_to_fraction(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
         raise CliError(EXIT_PARSE, f"parse error: boolean entry in {where}")
@@ -58,9 +64,11 @@ def _entry_to_fraction(value: Any, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            if _RATIONAL.fullmatch(value):
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise CliError(EXIT_PARSE, f"parse error: bad rational {value!r} in {where}")
+            pass
+        raise CliError(EXIT_PARSE, f"parse error: bad rational {value!r} in {where}")
     raise CliError(
         EXIT_PARSE, f"parse error: entry in {where} must be an integer or 'p/q' string"
     )
@@ -76,7 +84,8 @@ def read_rep_file(path: str) -> SurfaceRep:
             doc = json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"parse error: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also bad UTF-8, integers past the digit limit and deep nesting
         raise CliError(EXIT_PARSE, f"parse error: {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise CliError(EXIT_PARSE, "parse error: top-level document must be an object")
@@ -93,18 +102,18 @@ def read_rep_file(path: str) -> SurfaceRep:
             EXIT_PARSE, f"parse error: expected {2 * genus} generator matrices"
         )
     matrices = []
-    for k, rows in enumerate(generators):
-        label = generator_label(k)
-        if not isinstance(rows, list) or len(rows) != n or any(
-            not isinstance(row, list) or len(row) != n for row in rows
-        ):
-            raise CliError(EXIT_PARSE, f"parse error: generator {label} is not {n}x{n}")
-        matrices.append(
-            RatMatrix(
-                [[_entry_to_fraction(x, f"generator {label}") for x in row] for row in rows]
+    try:  # RatMatrix raises ValueError for n = 0
+        for k, rows in enumerate(generators):
+            label = generator_label(k)
+            if not isinstance(rows, list) or len(rows) != n or any(
+                not isinstance(row, list) or len(row) != n for row in rows
+            ):
+                raise CliError(EXIT_PARSE, f"parse error: generator {label} is not {n}x{n}")
+            matrices.append(
+                RatMatrix(
+                    [[_entry_to_fraction(x, f"generator {label}") for x in row] for row in rows]
+                )
             )
-        )
-    try:
         return SurfaceRep(genus, n, tuple(matrices))
     except NotOrthogonal as exc:
         raise CliError(EXIT_NOT_ORTHOGONAL, f"not orthogonal: {exc}")

@@ -2,12 +2,14 @@
 
 Basis blades are n-bit masks (bit i set means the basis vector e_{i+1} occurs),
 so a blade product is a sign plus an XOR.  Every product of multivectors,
-including the norms, images and commutators below, runs in one kernel,
-`CliffordElement.__mul__`, over Z: each operand is cleared of its
-denominators once and each result term is divided once.  Orthogonal
-matrices are lifted to the Lipschitz group as products of *non-normalised*
-reflection vectors: unit normalisation would force square roots, while every
-obstruction computed downstream is a commutator product and therefore
+including the norms, images and commutators below, runs in one integer
+kernel, `_int_product`, on term maps {mask: int}; `CliffordElement.__mul__`
+clears each operand's denominators once and divides each result term once.
+Orthogonal matrices are lifted to the Lipschitz group as lists of at most n
+*non-normalised* primitive integer reflection vectors (Cartan-Dieudonne),
+which `commutator_product` takes one at a time instead of expanding a lift
+to up to 2^(n-1) terms.  Unit normalisation would force square roots, while
+every obstruction computed downstream is a commutator product and therefore
 invariant under rescaling of the lifts.
 
 The dimension is capped at 16 so a blade mask always fits a machine word;
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Dict, Mapping, Sequence, Union
 
 from .linalg import NotOrthogonal, RatMatrix, as_fraction
@@ -69,6 +73,28 @@ def _parity_mask(a: int) -> int:
         mask ^= x
         x >>= 1
     return mask
+
+
+def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
+    """The product of two integer term maps {mask: int}, zero terms dropped:
+    the one loop over pairs of terms, which every Clifford product runs."""
+    rhs = list(b.items())
+    acc: Dict[int, int] = {}
+    for ma, ca in a.items():
+        pm = _parity_mask(ma)
+        for mb, cb in rhs:
+            mask = ma ^ mb
+            if (pm & mb).bit_count() & 1:
+                acc[mask] = acc.get(mask, 0) - ca * cb
+            else:
+                acc[mask] = acc.get(mask, 0) + ca * cb
+    return {m: c for m, c in acc.items() if c}
+
+
+def _cleared(x: CliffordElement) -> tuple[Dict[int, int], int]:
+    """The integer term map of d * x, and d, the lcm of x's denominators."""
+    d = math.lcm(*(c.denominator for c in x.terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in x.terms.items()}, d
 
 
 class CliffordElement:
@@ -150,22 +176,11 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         self._require_same_algebra(other)
-        # clear each operand's denominators, multiply over Z, divide once per term
-        da = math.lcm(*(c.denominator for c in self.terms.values()))
-        db = math.lcm(*(c.denominator for c in other.terms.values()))
-        rhs = [(mb, cb.numerator * (db // cb.denominator)) for mb, cb in other.terms.items()]
-        acc: Dict[int, int] = {}
-        for ma, ca in self.terms.items():
-            ca = ca.numerator * (da // ca.denominator)
-            pm = _parity_mask(ma)
-            for mb, cb in rhs:
-                mask = ma ^ mb
-                if (pm & mb).bit_count() & 1:
-                    acc[mask] = acc.get(mask, 0) - ca * cb
-                else:
-                    acc[mask] = acc.get(mask, 0) + ca * cb
+        (a, da), (b, db) = _cleared(self), _cleared(other)
         den = da * db
-        return CliffordElement._raw(self.n, {m: Fraction(c, den) for m, c in acc.items() if c})
+        return CliffordElement._raw(
+            self.n, {m: Fraction(c, den) for m, c in _int_product(a, b).items()}
+        )
 
     def __rmul__(self, other) -> "CliffordElement":
         if isinstance(other, (int, Fraction)):
@@ -231,12 +246,13 @@ def volume_element(n: int) -> CliffordElement:
     return CliffordElement(n, {(1 << n) - 1: 1})
 
 
-def _versor_norm(g: CliffordElement) -> Fraction:
-    """The scalar g reversal(g); NotAVersor when it is not a nonzero scalar."""
-    norm = g * g.reversal()
-    if not norm.is_scalar() or norm.is_zero():
-        raise NotAVersor(f"g * reversal(g) = {norm!r} is not a nonzero scalar")
-    return norm.scalar_part()
+def _versor_norm(g: CliffordElement) -> int:
+    """d^2 g reversal(g), with d the lcm of g's denominators, over Z;
+    NotAVersor when it is not a nonzero scalar."""
+    norm = _int_product(_cleared(g)[0], _cleared(g.reversal())[0])
+    if norm.keys() != {0}:
+        raise NotAVersor(f"g * reversal(g) = {norm} is not a nonzero scalar")
+    return norm[0]
 
 
 def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
@@ -250,7 +266,7 @@ def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
     vector.
     """
     n = g.n
-    norm = _versor_norm(g)
+    norm = Fraction(_versor_norm(g), _cleared(g)[1] ** 2)
     alpha, rev = g.grade_involution(), g.reversal()
     columns = []
     for i in range(n):
@@ -263,67 +279,76 @@ def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
     return RatMatrix(zip(*columns))
 
 
-def lift_orthogonal(a: RatMatrix) -> CliffordElement:
-    """A versor whose twisted conjugation is exactly the orthogonal matrix a.
-
-    Column-by-column reflection reduction: for each i in order, if the
-    remaining matrix sends e_i to v != e_i, multiply by the reflection along
-    v - e_i (which fixes the already-reduced columns).  The lift is a product
-    of at most n primitive integer reflection vectors; its grade parity is
-    even exactly when det(a) = +1.
-    """
+def lift_factors(a: RatMatrix) -> list[CliffordElement]:
+    """The primitive integer reflection vectors whose product lifts a, in order:
+    at most n, and an even number exactly when det(a) = +1.  For each i, if
+    the remaining matrix sends e_i to v != e_i, reflect along v - e_i, which
+    fixes the columns already reduced; the columns still to be reduced are
+    integers over one common denominator and are reflected over Z."""
     if not a.is_orthogonal():
         raise NotOrthogonal("only exactly orthogonal matrices can be lifted")
-    n = a.n
-    _check_dimension(n)
-    work = a
-    lift = CliffordElement.scalar(n, 1)
-    for i in range(n):
+    _check_dimension(a.n)
+    den = a.den
+    cols = [list(col) for col in zip(*a.num)]
+    factors = []
+    for i, w in enumerate(cols):
         # den * (v - e_i) over Z; reflections are scale-free
-        w = [row[i] - (work.den if r == i else 0) for r, row in enumerate(work.num)]
+        w[i] -= den
         if not any(w):
             continue
         content = math.gcd(*w)
         u = [x // content for x in w]
-        lift = lift * CliffordElement.vector(n, u)
+        factors.append(CliffordElement.vector(a.n, u))
         uu = sum(x * x for x in u)
-        reflection = RatMatrix(
-            [[Fraction(uu * (r == c) - 2 * ur * uc, uu) for c, uc in enumerate(u)]
-             for r, ur in enumerate(u)]
-        )
-        work = reflection * work
-    return lift
+        for col in cols[i + 1 :]:
+            # uu * (x - 2 (u.x) u / uu), so the denominator becomes den * uu
+            t = 2 * sum(map(mul, u, col))
+            col[:] = [uu * x - t * y for x, y in zip(col, u)]
+        den *= uu
+    return factors
 
 
-def commutator_product(lifts: Sequence[CliffordElement]) -> KernelElement:
+def lift_orthogonal(a: RatMatrix) -> CliffordElement:
+    """A versor whose twisted conjugation is exactly the orthogonal matrix a:
+    the product of lift_factors(a), even exactly when det(a) = +1."""
+    return reduce(mul, lift_factors(a), CliffordElement.scalar(a.n, 1))
+
+
+def commutator_product(
+    lifts: Sequence[Union[CliffordElement, Sequence[CliffordElement]]]
+) -> KernelElement:
     """Product of commutators [g_1, h_1] ... [g_k, h_k] in the Lipschitz group.
 
-    Scale factors cancel inside each commutator, so whenever the underlying
-    orthogonal representation satisfies the surface relation the product is
-    exactly one of 1, -1, omega, -omega.
+    Each lift is a versor or the list of its factors (lift_factors), and is
+    multiplied in over Z one factor at a time, with each inverse as reversal
+    over norm and the integer content divided out after every step.  Scale
+    factors cancel inside each commutator, so when the orthogonal
+    representation satisfies the surface relation the product is one term:
+    1, -1, omega or -omega times the product of the factors' norms.
     """
     if len(lifts) < 2 or len(lifts) % 2 != 0:
         raise ValueError("expected a non-empty even-length list of lifts")
-    n = lifts[0].n
-    if any(g.n != n for g in lifts):
+    chains = [[g] if isinstance(g, CliffordElement) else list(g) for g in lifts]
+    # an identity may be lifted with no factor, so n comes from any factor
+    dims = {f.n for chain in chains for f in chain}
+    if len(dims) > 1:
         raise ValueError("all lifts must live in the same algebra")
-    # expand every inverse as reversal over norm and divide once at the end
-    product = CliffordElement.scalar(n, 1)
-    scale = Fraction(1)
-    for g in lifts:
-        scale *= _versor_norm(g)
-    for k in range(0, len(lifts), 2):
-        g, h = lifts[k], lifts[k + 1]
-        product = product * g * h * g.reversal() * h.reversal()
-    full = (1 << n) - 1
-    if product.terms == {0: scale}:
-        return KernelElement.ONE
-    if product.terms == {0: -scale}:
-        return KernelElement.MINUS_ONE
-    if product.terms == {full: scale}:
-        return KernelElement.OMEGA
-    if product.terms == {full: -scale}:
-        return KernelElement.MINUS_OMEGA
-    raise NotInKernel(
-        "commutator product is not +-1 or +-omega; the surface relation fails"
-    )
+    norms = math.prod(_versor_norm(f) for chain in chains for f in chain)
+    product, removed = {0: 1}, 1
+    for g, h in zip(chains[::2], chains[1::2]):
+        # g h g^-1 h^-1: an inverse is its lift's factors reversed, each one reversed
+        for f in g + h + [f.reversal() for f in reversed(h + g)]:
+            product = _int_product(product, _cleared(f)[0])
+            content = math.gcd(*product.values())
+            if content > 1:
+                product = {m: c // content for m, c in product.items()}
+                removed *= content
+    if len(product) == 1:
+        ((mask, c),) = product.items()
+        if abs(c) * removed == norms:
+            if mask == 0:
+                return KernelElement.ONE if c > 0 else KernelElement.MINUS_ONE
+            # a term off blade 0 needs a factor, so dims holds n
+            if mask == (1 << dims.pop()) - 1:
+                return KernelElement.OMEGA if c > 0 else KernelElement.MINUS_OMEGA
+    raise NotInKernel("commutator product is not +-1 or +-omega; the surface relation fails")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .clifford import KernelElement, commutator_product, lift_orthogonal
+from .clifford import KernelElement, commutator_product, lift_factors
 from .linalg import NotOrthogonal, RatMatrix, commutator
 
 
@@ -147,13 +147,13 @@ _KERNEL_TO_MU2 = {
 def tilde_delta(rep: SurfaceRep) -> Mu2Value:
     """Spin-lift obstruction in {0, 1, omega}; requires delta1 = 0.
 
-    Each generator is lifted through the Clifford algebra and the commutator
-    product is evaluated exactly in the Lipschitz group.
+    Each generator is lifted through the Clifford algebra as a product of
+    reflection vectors, and the commutator product is evaluated exactly in
+    the Lipschitz group one factor at a time.
     """
     if any(delta1(rep)):
         raise Delta1NotZero("tilde_delta requires every generator in SO(n)")
-    lifts = [lift_orthogonal(m) for m in rep.gens]
-    return _KERNEL_TO_MU2[commutator_product(lifts)]
+    return _KERNEL_TO_MU2[commutator_product([lift_factors(m) for m in rep.gens])]
 
 
 def invariants(rep: SurfaceRep) -> InvariantClass:

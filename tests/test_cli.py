@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pglrep.cli import main, read_rep_file, write_rep_file
 
@@ -102,6 +108,99 @@ class TestInvariants:
         code, out, err = run(capsys, "invariants", write_doc(tmp_path, doc))
         assert (code, out) == (1, "")
         assert "n = 18 exceeds the supported maximum 16" in err
+
+    @pytest.mark.parametrize("entry", ["1e10000000", "0.5", " 1", "1_0"])
+    def test_entry_outside_integer_or_p_over_q_exits_1(self, capsys, tmp_path, entry):
+        doc = json.loads(json.dumps(TRIVIAL))
+        doc["generators"][0][0][0] = entry
+        start = time.monotonic()
+        code, out, err = run(capsys, "invariants", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert f"bad rational {entry!r}" in err
+        # Fraction("1e10000000") alone takes tens of seconds
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"n": 4, "genus": 2, "generators": \xff}',
+            b'{"n": 4, "genus": 2, "generators": [[[' + b"1" * 5000 + b"]]]}",
+            b"[" * 100000,
+            b'{"n": 0, "genus": 2, "generators": [[], [], [], []]}',
+        ],
+        ids=["bad-utf8", "int-past-digit-limit", "deep-nesting", "zero-dimension"],
+    )
+    def test_malformed_file_exits_1(self, capsys, tmp_path, text):
+        path = tmp_path / "rep.json"
+        path.write_bytes(text)
+        code, out, err = run(capsys, "invariants", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error")
+
+
+_FIXTURE_DOCS = [TRIVIAL] + [
+    json.loads((FIXTURES / name).read_text())
+    for name in ("conjugated_omega.json", "conjugated_reflections.json")
+]
+
+_VALUES = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.text(alphabet="0123456789+-/ ._e", max_size=8),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(min_value=-2, max_value=2), max_size=5),
+)
+
+
+@st.composite
+def _mutated_rep_files(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_FIXTURE_DOCS))))
+    # swaps keep a valid file valid or break only the relation (exit 0 or 3)
+    kinds = ("swap", "entry", "row", "generator", "header", "drop", "pop")
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(kinds))
+        gens = doc.get("generators")
+        if kind == "header" or not isinstance(gens, list) or not gens:
+            doc[draw(st.sampled_from(("n", "genus")))] = draw(_VALUES)
+        elif kind == "drop":
+            doc.pop(draw(st.sampled_from(("n", "genus", "generators"))), None)
+        elif kind == "pop":
+            gens.pop()
+        else:
+            index = st.integers(min_value=0, max_value=len(gens) - 1)
+            k = draw(index)
+            if kind == "swap":
+                j = draw(index)
+                gens[k], gens[j] = gens[j], gens[k]
+                continue
+            if kind == "generator" or not isinstance(gens[k], list) or not gens[k]:
+                gens[k] = draw(_VALUES)
+                continue
+            i = draw(st.integers(min_value=0, max_value=len(gens[k]) - 1))
+            if kind == "row" or not isinstance(gens[k][i], list) or not gens[k][i]:
+                gens[k][i] = draw(_VALUES)
+                continue
+            j = draw(st.integers(min_value=0, max_value=len(gens[k][i]) - 1))
+            gens[k][i][j] = draw(_VALUES)
+    text = json.dumps(doc).encode()
+    if draw(st.booleans()):
+        cut = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:cut] + draw(st.binary(max_size=3)) + text[cut + 1 :]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_rep_files())
+def test_invariants_on_mutated_files_never_crashes(text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rep.json"
+        path.write_bytes(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["invariants", str(path)])
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
 
 
 class TestConstruct:

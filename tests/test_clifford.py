@@ -1,5 +1,8 @@
+import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,14 @@ from pglrep.clifford import (
     NotInKernel,
     NotVectorPreserving,
     commutator_product,
+    lift_factors,
     lift_orthogonal,
     twisted_conjugation_matrix,
     volume_element,
 )
+from pglrep.construct import build_representation
 from pglrep.linalg import NotOrthogonal, RatMatrix
+from pglrep.surfrep import InvariantClass, Mu2Value
 
 import randmat
 
@@ -219,6 +225,112 @@ class TestLiftOrthogonal:
         assert parities == ({0} if a.det() == 1 else {1})
 
 
+def _reference_lift(a):
+    """Reference route for the lift: reflect the whole working matrix by a
+    Fraction reflection matrix at every step, and multiply the dense lift
+    through _reference_product as it goes."""
+    n = a.n
+    work, lift = a, CliffordElement.scalar(n, 1)
+    for i in range(n):
+        v = [row[i] - (r == i) for r, row in enumerate(work.rows)]
+        if not any(v):
+            continue
+        d = math.lcm(*(x.denominator for x in v))
+        w = [int(x * d) for x in v]
+        u = [x // math.gcd(*w) for x in w]
+        lift = _reference_product(lift, CliffordElement.vector(n, u))
+        uu = sum(x * x for x in u)
+        reflection = RatMatrix(
+            [[Fraction(uu * (r == c) - 2 * ur * uc, uu) for c, uc in enumerate(u)]
+             for r, ur in enumerate(u)]
+        )
+        work = reflection * work
+    return lift
+
+
+class TestLiftFactors:
+    def test_identity_has_no_factors(self):
+        assert lift_factors(RatMatrix.identity(4)) == []
+        assert lift_orthogonal(RatMatrix.identity(4)) == CliffordElement.scalar(4, 1)
+
+    def test_rejects_non_orthogonal(self):
+        with pytest.raises(NotOrthogonal):
+            lift_factors(RatMatrix([[1, 1], [0, 1]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=8).flatmap(randmat.orthogonal_matrices))
+    def test_primitive_factors_multiply_to_the_lift(self, a):
+        factors = lift_factors(a)
+        assert len(factors) <= a.n
+        assert len(factors) % 2 == (0 if a.det() == 1 else 1)
+        for v in factors:
+            coords = v.vector_coefficients()
+            assert all(c.denominator == 1 for c in coords)
+            assert math.gcd(*(int(c) for c in coords)) == 1
+        product = reduce(mul, factors, CliffordElement.scalar(a.n, 1))
+        assert product == lift_orthogonal(a) == _reference_lift(a)
+
+
+def _reference_kernel(lifts):
+    """Reference route for the commutator product: dense lifts multiplied
+    over Q through _reference_product, divided by the lifts' norms, and
+    named as a kernel element (None outside the kernel)."""
+    n = lifts[0].n
+    product = CliffordElement.scalar(n, 1)
+    for g, h in zip(lifts[::2], lifts[1::2]):
+        for x in (g, h, g.reversal(), h.reversal()):
+            product = _reference_product(product, x)
+    for g in lifts:
+        product = product * (1 / _reference_product(g, g.reversal()).scalar_part())
+    one, omega = CliffordElement.scalar(n, 1), volume_element(n)
+    return {
+        one: KernelElement.ONE,
+        -one: KernelElement.MINUS_ONE,
+        omega: KernelElement.OMEGA,
+        -omega: KernelElement.MINUS_OMEGA,
+    }.get(product)
+
+
+def _conjugated_handle(n, mu2, rng):
+    """The first handle of the catalogue representation of (0000, mu2),
+    conjugated by its own random rational orthogonal matrix."""
+    a, b = build_representation(2, n, InvariantClass((0, 0, 0, 0), mu2)).gens[:2]
+    q = randmat.random_orthogonal(rng, n)
+    return [q * a * q.transpose(), q * b * q.transpose()]
+
+
+# classes of the two handles -> the kernel elements their product may be;
+# the catalogue's second handle is (I, I), and two handles of class 1 give 1
+_HANDLE_CASES = {
+    (Mu2Value.ZERO, Mu2Value.ZERO): {KernelElement.ONE},
+    (Mu2Value.ONE, Mu2Value.ZERO): {KernelElement.MINUS_ONE},
+    (Mu2Value.OMEGA, Mu2Value.ZERO): {KernelElement.OMEGA, KernelElement.MINUS_OMEGA},
+    (Mu2Value.ONE, Mu2Value.ONE): {KernelElement.ONE},
+}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("handles", list(_HANDLE_CASES), ids=lambda h: f"{h[0].value}-{h[1].value}")
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scales=st.lists(randmat.nonzero_fractions, min_size=8, max_size=8),
+)
+def test_factored_and_dense_lifts_agree(n, handles, seed, scales):
+    rng = random.Random(seed)
+    gens = [m for mu2 in handles for m in _conjugated_handle(n, mu2, rng)]
+    factored = [lift_factors(m) for m in gens]
+    dense = [lift_orthogonal(m) for m in gens]
+    mixed = [f if k % 2 else g for k, (f, g) in enumerate(zip(factored, dense))]
+    rescaled = [[v * s for v, s in zip(fs, scales)] for fs in factored]
+    kernel = commutator_product(factored)
+    assert kernel in _HANDLE_CASES[handles]
+    assert kernel == _reference_kernel(dense)
+    assert commutator_product(dense) == kernel
+    assert commutator_product(mixed) == kernel
+    assert commutator_product(rescaled) == kernel
+
+
 class TestCommutatorProduct:
     def test_trivial(self):
         one = CliffordElement.scalar(4, 1)
@@ -246,6 +358,30 @@ class TestCommutatorProduct:
         h = lift_orthogonal(RatMatrix.diagonal([-1, 1, 1]))
         with pytest.raises(NotInKernel):
             commutator_product([g, h])
+
+    def test_rejects_non_versor_factor(self):
+        e1, one = CliffordElement.basis_vector(4, 0), CliffordElement.scalar(4, 1)
+        for bad in (CliffordElement(4, {}), one + volume_element(4)):
+            with pytest.raises(NotAVersor):
+                commutator_product([[e1, bad], [e1]])
+
+    def test_relation_failure_detected_in_factors(self):
+        g = lift_factors(randmat.plane_rotation(3, 0, 1, (3, 4, 5)))
+        h = lift_factors(RatMatrix.diagonal([-1, 1, 1]))
+        with pytest.raises(NotInKernel):
+            commutator_product([g, h])
+
+    def test_identity_handles_have_no_factors(self):
+        eye = lift_factors(RatMatrix.identity(4))
+        assert commutator_product([eye, eye]) == KernelElement.ONE
+        x4 = RatMatrix.block_diag(RatMatrix([[0, 1], [1, 0]]), RatMatrix([[0, 1], [1, 0]]))
+        xp4 = RatMatrix.diagonal([1, -1, 1, -1])
+        dense = commutator_product([lift_orthogonal(x4), lift_orthogonal(xp4)])
+        assert commutator_product([eye, eye, lift_factors(x4), lift_factors(xp4)]) == dense
+
+    def test_factors_from_different_algebras_rejected(self):
+        with pytest.raises(ValueError):
+            commutator_product([[], [e(4, 0)], [e(5, 0)], []])
 
     @settings(max_examples=30, deadline=None)
     @given(
