@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time the Clifford lift and commutator product on factored and dense lifts.
+"""Time the Clifford lift and the commutator product: factored, dense and
+as a spinor residue.
 
-For each n from 4 to 12 the input is one handle (A, B) of commuting
+For each n from 4 to 16 the input is one handle (A, B) of commuting
 rotations: A and B turn the planes (e1, e2), (e3, e4), ... by angles whose
 cosine and sine come from Pythagorean triples, and both are conjugated by
 one random rational orthogonal matrix (a signed permutation times plane
@@ -10,11 +11,15 @@ seed is fixed, so every run times the same matrices.
 
 Printed for each n, as the best of a few repeats: `lift_factors` and
 `lift_orthogonal` on A and B; `commutator_product` on the factored lifts and
-on the dense lifts; the number of factors and of dense lift terms; and the
-largest coefficient bit size of any product the integer kernel returns on
-each route (recorded in one extra untimed call, which also checks that the
-product is 1).  Standard library only; about two minutes on a 2 vCPU host,
-most of it the dense product at n = 12.  Run from the root of a checkout:
+on the dense lifts; `spinor_commutator` on (A, B), its integer lift
+included; the number of factors and of dense lift terms; and the largest
+coefficient bit size of any product the integer kernel returns on each
+product route (recorded in one extra untimed call, which also checks that
+the product is 1).  Dense lifts are left out above n = 12, where one
+product takes minutes, and the spinor route needs even n; a column left out
+prints "-".  Standard library only; about four minutes on a 2 vCPU host,
+most of it the dense product at n = 12 and the factored one at n = 15 and
+16.  Run from the root of a checkout:
 
     PYTHONPATH=src python3 scripts/clifford_timings.py
 """
@@ -24,7 +29,13 @@ import time
 from fractions import Fraction
 
 from pglrep import clifford
-from pglrep.clifford import KernelElement, commutator_product, lift_factors, lift_orthogonal
+from pglrep.clifford import (
+    KernelElement,
+    commutator_product,
+    lift_factors,
+    lift_orthogonal,
+    spinor_commutator,
+)
 from pglrep.linalg import RatMatrix
 
 SEED = 20261018
@@ -91,27 +102,33 @@ def kernel_bits(fn):
 def main() -> None:
     rng = random.Random(SEED)
     print("n  factors  dense_terms  lift_factors_ms  lift_orthogonal_ms  "
-          "product_factored_ms  product_dense_ms  bits_factored  bits_dense")
-    for n in range(4, 13):
+          "product_factored_ms  product_dense_ms  spinor_ms  bits_factored  bits_dense")
+    for n in range(4, 17):
         q = random_orthogonal(rng, n, rotations=2 * n)
         handle = [q * block_rotation(n, TRIPLES[s:] + TRIPLES[:s]) * q.transpose() for s in (0, 3)]
-        factored = [lift_factors(m) for m in handle]
-        dense = [lift_orthogonal(m) for m in handle]
         # the dense product alone takes about a minute at n = 12
         repeats = 5 if n <= 8 else 1
-        lift_ms = [best_ms(lambda: [lift(m) for m in handle], repeats)
-                   for lift in (lift_factors, lift_orthogonal)]
-        product_ms, bits = [], []
-        for lifts in (factored, dense):
-            product_ms.append(best_ms(lambda: commutator_product(lifts), repeats))
-            kernel, largest = kernel_bits(lambda: commutator_product(lifts))
+        lifts = {"factored": [lift_factors(m) for m in handle]}
+        lift_ms = [best_ms(lambda: [lift_factors(m) for m in handle], repeats), "-"]
+        if n <= 12:
+            lifts["dense"] = [lift_orthogonal(m) for m in handle]
+            lift_ms[1] = best_ms(lambda: [lift_orthogonal(m) for m in handle], repeats)
+        product_ms, bits = ["-", "-"], ["-", "-"]
+        for k, route in enumerate(lifts.values()):
+            product_ms[k] = best_ms(lambda: commutator_product(route), repeats)
+            kernel, bits[k] = kernel_bits(lambda: commutator_product(route))
             if kernel != KernelElement.ONE:
                 raise SystemExit(f"n={n}: commuting rotations must give the product 1")
-            bits.append(largest)
-        row = (n, max(map(len, factored)), max(len(g.terms) for g in dense),
-               *lift_ms, *product_ms, *bits)
-        print("{:<2} {:>8} {:>12} {:>16.2f} {:>19.2f} {:>20.2f} {:>17.2f} {:>14} {:>11}".format(*row),
-              flush=True)
+        spinor_ms = "-"
+        if n % 2 == 0:
+            if spinor_commutator(handle) != KernelElement.ONE:
+                raise SystemExit(f"n={n}: the spinor residue must give the product 1")
+            spinor_ms = best_ms(lambda: spinor_commutator(handle), repeats)
+        dense_terms = max(len(g.terms) for g in lifts["dense"]) if n <= 12 else "-"
+        row = (n, max(map(len, lifts["factored"])), dense_terms, *lift_ms, *product_ms,
+               spinor_ms, *bits)
+        print("{:<2} {:>8} {:>12} {:>16} {:>19} {:>20} {:>17} {:>10} {:>14} {:>11}".format(
+            *(f"{x:.2f}" if isinstance(x, float) else x for x in row)), flush=True)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from .clifford import (
     commutator_product,
     lift_factors,
     lift_orthogonal,
+    spinor_commutator,
     twisted_conjugation_matrix,
     volume_element,
 )

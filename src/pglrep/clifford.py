@@ -12,8 +12,15 @@ to up to 2^(n-1) terms.  Unit normalisation would force square roots, while
 every obstruction computed downstream is a commutator product and therefore
 invariant under rescaling of the lifts.
 
-The dimension is capped at 16 so a blade mask always fits a machine word;
-every example of interest here needs n <= 8.
+`spinor_commutator` names the same kernel element without multiplying
+multivectors.  For even n, Cl(n) over F_p with p = 1 (mod 4) is the matrix
+algebra of size 2^(n/2) (Lawson-Michelsohn, Spin Geometry, I.5), so the
+product of the reflection vectors is applied to one spinor mod p through
+Jordan-Wigner gamma matrices, at (n/2) 2^(n/2) multiply-adds per vector.
+`commutator_product` stays the exact route the tests compare it with.
+
+The dimension is capped at 16: a blade mask then fits a machine word and a
+spinor has at most 256 entries.  Every example of interest here needs n <= 8.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from functools import cache, reduce
+from operator import add, itemgetter, mul
 from typing import Dict, Mapping, Sequence, Union
 
 from .linalg import NotOrthogonal, RatMatrix, as_fraction
@@ -279,18 +286,15 @@ def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
     return RatMatrix(zip(*columns))
 
 
-def lift_factors(a: RatMatrix) -> list[CliffordElement]:
-    """The primitive integer reflection vectors whose product lifts a, in order:
-    at most n, and an even number exactly when det(a) = +1.  For each i, if
+def _reflection_vectors(a: RatMatrix) -> list[list[int]]:
+    """The primitive integer reflection vectors whose product lifts the
+    orthogonal matrix a, in order, which is not re-checked.  For each i, if
     the remaining matrix sends e_i to v != e_i, reflect along v - e_i, which
     fixes the columns already reduced; the columns still to be reduced are
     integers over one common denominator and are reflected over Z."""
-    if not a.is_orthogonal():
-        raise NotOrthogonal("only exactly orthogonal matrices can be lifted")
-    _check_dimension(a.n)
     den = a.den
     cols = [list(col) for col in zip(*a.num)]
-    factors = []
+    vectors = []
     for i, w in enumerate(cols):
         # den * (v - e_i) over Z; reflections are scale-free
         w[i] -= den
@@ -298,14 +302,23 @@ def lift_factors(a: RatMatrix) -> list[CliffordElement]:
             continue
         content = math.gcd(*w)
         u = [x // content for x in w]
-        factors.append(CliffordElement.vector(a.n, u))
+        vectors.append(u)
         uu = sum(x * x for x in u)
         for col in cols[i + 1 :]:
             # uu * (x - 2 (u.x) u / uu), so the denominator becomes den * uu
             t = 2 * sum(map(mul, u, col))
             col[:] = [uu * x - t * y for x, y in zip(col, u)]
         den *= uu
-    return factors
+    return vectors
+
+
+def lift_factors(a: RatMatrix) -> list[CliffordElement]:
+    """The primitive integer reflection vectors whose product lifts a, in order:
+    at most n, and an even number exactly when det(a) = +1."""
+    if not a.is_orthogonal():
+        raise NotOrthogonal("only exactly orthogonal matrices can be lifted")
+    _check_dimension(a.n)
+    return [CliffordElement.vector(a.n, u) for u in _reflection_vectors(a)]
 
 
 def lift_orthogonal(a: RatMatrix) -> CliffordElement:
@@ -352,3 +365,114 @@ def commutator_product(
             if mask == (1 << dims.pop()) - 1:
                 return KernelElement.OMEGA if c > 0 else KernelElement.MINUS_OMEGA
     raise NotInKernel("commutator product is not +-1 or +-omega; the surface relation fails")
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 mod the prime p = 1 (mod 4): c^((p-1)/4) for the
+    least quadratic non-residue c."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return pow(c, (p - 1) // 4, p)
+
+
+# (p, i) with i^2 = -1 mod p, for primes p = 1 (mod 4) below 2^30, so that
+# residues stay one machine digit; a prime that divides the norm of a
+# reflection vector leaves the residue undecided, and the next is tried
+_SPINOR_PRIMES = tuple((p, _sqrt_minus_one(p)) for p in (998244353, 469762049, 167772161))
+
+
+@cache
+def _gamma_tables(n: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
+    """The Jordan-Wigner gamma matrices of Cl(n), n even, on the 2^(n/2)
+    spinor entries, one pair per qubit k < n/2: gamma_2k = Z..Z X and
+    gamma_2k+1 = Z..Z Y, with the Pauli matrices X = [[0, 1], [1, 0]],
+    Y = [[0, -i], [i, 0]] on qubit k and Z = diag(1, -1) on each of the
+    qubits below k (bit j of an entry's index is qubit j).  They square to
+    1 and anti-commute, and each is a phased permutation:
+    entry x of gamma psi is a phase times psi[x ^ 2^k].  Entry x of
+    (u_2k gamma_2k + u_2k+1 gamma_2k+1) psi is (-1)^s (u_2k + i u_2k+1)
+    psi[x ^ 2^k] when bit k of x is 1, and (-1)^s (u_2k - i u_2k+1)
+    psi[x ^ 2^k] when it is 0, where (-1)^s is the sign of the Z string.
+    For each k the table holds one getter of those sources and one of the
+    selectors 2 s + (bit k of x), which index (u_2k - i u_2k+1,
+    u_2k + i u_2k+1, and their negatives)."""
+    size = 1 << (n // 2)
+    tables = []
+    for k in range(n // 2):
+        bit = 1 << k
+        sources = itemgetter(*(x ^ bit for x in range(size)))
+        selectors = itemgetter(
+            *(2 * ((x & (bit - 1)).bit_count() & 1) + (x >> k & 1) for x in range(size))
+        )
+        tables.append((sources, selectors))
+    return tuple(tables)
+
+
+def _apply_vector(u: Sequence[int], psi: list[int], tables, i: int, p: int) -> list[int]:
+    """The spinor (u_1 gamma_1 + ... + u_n gamma_n) psi mod p, for a nonzero u."""
+    out = None
+    for (sources, selectors), x, y in zip(tables, u[::2], u[1::2]):
+        if x or y:
+            a, b = (x + i * y) % p, (x - i * y) % p
+            terms = map(mul, selectors((b, a, -b, -a)), sources(psi))
+            out = list(terms) if out is None else list(map(add, out, terms))
+    return [c % p for c in out]
+
+
+def _spinor_kernel(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> KernelElement:
+    """The kernel element commutator_product names for lifts given as lists
+    of integer reflection vectors, decided on one spinor mod p.
+
+    The product P of the vectors in commutator_product's order is applied to
+    psi_0 = e_0 + e_1, right to left.  When the lifts cover matrices whose
+    commutator product is +-I, P is +-N or +-N omega, with N the product of
+    the vectors' norms, each vector taken once.  psi_0 has one entry of each
+    chirality, so omega psi_0 = i^(n/2) (e_0 - e_1) is not +-psi_0, and the
+    four candidates are distinct mod p whenever p does not divide N.  A
+    result that is none of them raises NotInKernel; a match proves nothing
+    unless the relation was certified.  If every prime divides N, the exact
+    product decides.
+    """
+    sequence = [u for g, h in zip(lifts[::2], lifts[1::2]) for u in g + h + g[::-1] + h[::-1]]
+    norms = [sum(x * x for x in u) for lift in lifts for u in lift]
+    tables = _gamma_tables(n)
+    for p, i in _SPINOR_PRIMES:
+        norm = 1
+        for uu in norms:
+            norm = norm * uu % p
+        if not norm:
+            continue
+        psi = [1, 1] + [0] * ((1 << n // 2) - 2)
+        for u in reversed(sequence):
+            psi = _apply_vector(u, psi, tables, i, p)
+        c = pow(i, n // 2, p) * norm % p
+        candidates = {
+            (norm, norm): KernelElement.ONE,
+            (p - norm, p - norm): KernelElement.MINUS_ONE,
+            (c, p - c): KernelElement.OMEGA,
+            (p - c, c): KernelElement.MINUS_OMEGA,
+        }
+        found = None if any(psi[2:]) else candidates.get((psi[0], psi[1]))
+        if found is None:
+            raise NotInKernel("commutator product is not +-1 or +-omega; the surface relation fails")
+        return found
+    return commutator_product([[CliffordElement.vector(n, u) for u in lift] for lift in lifts])
+
+
+def spinor_commutator(gens: Sequence[RatMatrix]) -> KernelElement:
+    """commutator_product([lift_factors(m) for m in gens]) for exactly
+    orthogonal matrices A_1, B_1, ..., A_g, B_g of even size whose
+    commutator product is +-I, decided on one spinor mod p instead of by
+    multiplying multivectors: (n/2) 2^(n/2) multiply-adds per reflection vector.
+
+    Neither orthogonality nor the relation is re-checked here; SurfaceRep
+    certifies both.
+    """
+    if len(gens) < 2 or len(gens) % 2 != 0:
+        raise ValueError("expected a non-empty even-length list of matrices")
+    n = gens[0].n
+    _check_dimension(n)
+    if n % 2 or any(m.n != n for m in gens):
+        raise ValueError(f"the spinor route needs matrices of one even size, got n = {n}")
+    return _spinor_kernel(n, [_reflection_vectors(m) for m in gens])

@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .clifford import MAX_DIM
 from .linalg import OrthComponent, RatMatrix
 from .surfrep import InvalidClass, InvariantClass, Mu2Value, SurfaceRep, invariants
 
 
 class BadDimension(ValueError):
-    """Catalogue matrices need even n (and n >= 4 for the W family)."""
+    """Catalogue matrices need even n (and n >= 4 for the W family), and a
+    representation needs even n with 4 <= n <= MAX_DIM."""
 
 
 CATALOGUE_NAMES = ("X", "X'", "Y", "Y'", "Z", "W", "W'")
@@ -132,8 +134,12 @@ def build_representation(g: int, n: int, target: InvariantClass) -> SurfaceRep:
     Handle 1 carries the pair that produces the requested second invariant;
     every later handle carries a commuting pair matching its two component
     bits.  The result is re-checked through the invariant computation before
-    being returned.
+    being returned.  n is checked before any matrix is built: the spin
+    obstruction is decided on a spinor of 2^(n/2) entries, so n is capped
+    at MAX_DIM, the bound representation files keep too.
     """
+    if n % 2 != 0 or not 4 <= n <= MAX_DIM:
+        raise BadDimension(f"representations need even n with 4 <= n <= {MAX_DIM}, got {n}")
     if len(target.mu1) != 2 * g:
         raise InvalidClass(f"mu1 must have length {2 * g}, got {len(target.mu1)}")
     bits = target.mu1

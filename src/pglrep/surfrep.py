@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .clifford import KernelElement, commutator_product, lift_factors
+from .clifford import MAX_DIM, KernelElement, spinor_commutator
 from .linalg import NotOrthogonal, RatMatrix, commutator
 
 
@@ -75,7 +75,7 @@ class InvariantClass:
 
 @dataclass(frozen=True)
 class SurfaceRep:
-    """Genus g >= 2 representation into PO(n), n >= 4 even, by O(n) lifts.
+    """Genus g >= 2 representation into PO(n), 4 <= n <= MAX_DIM even, by O(n) lifts.
 
     Construction certifies each generator exactly orthogonal, takes its
     determinant sign, and checks the surface relation (commutator product
@@ -92,8 +92,9 @@ class SurfaceRep:
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError(f"genus must be >= 2, got {self.genus}")
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"n must be even and >= 4, got {self.n}")
+        # above MAX_DIM the spin obstruction cannot be computed
+        if self.n % 2 != 0 or not 4 <= self.n <= MAX_DIM:
+            raise ValueError(f"n must be even with 4 <= n <= {MAX_DIM}, got {self.n}")
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)
         if len(gens) != 2 * self.genus:
@@ -148,12 +149,13 @@ def tilde_delta(rep: SurfaceRep) -> Mu2Value:
     """Spin-lift obstruction in {0, 1, omega}; requires delta1 = 0.
 
     Each generator is lifted through the Clifford algebra as a product of
-    reflection vectors, and the commutator product is evaluated exactly in
-    the Lipschitz group one factor at a time.
+    reflection vectors, and their commutator product in the Lipschitz group
+    is applied to one spinor mod p.  The relation sign is not read, so
+    delta2 and this obstruction stay two independent routes.
     """
     if any(delta1(rep)):
         raise Delta1NotZero("tilde_delta requires every generator in SO(n)")
-    return _KERNEL_TO_MU2[commutator_product([lift_factors(m) for m in rep.gens])]
+    return _KERNEL_TO_MU2[spinor_commutator(rep.gens)]
 
 
 def invariants(rep: SurfaceRep) -> InvariantClass:

@@ -203,6 +203,68 @@ def test_invariants_on_mutated_files_never_crashes(text):
     assert "Traceback" not in err.getvalue()
 
 
+# sizes on both sides of the documented bounds, and tokens that are no integer
+_N_TOKENS = st.one_of(
+    st.sampled_from([-4, 0, 2, 3, 4, 6, 8, 16, 17, 18, 24, 400, 10**20]).map(str),
+    st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--n"]),
+)
+
+
+@st.composite
+def _argument_vectors(draw):
+    """construct, poincare or bundle-classify, with each option most often
+    well-formed, sometimes malformed, and at most one option missing.  The
+    genus stays small for poincare, whose work grows with it."""
+    command = draw(st.sampled_from(("construct", "poincare", "bundle-classify")))
+    genus = draw(st.integers(min_value=-1, max_value=4))
+    length = max(2 * genus, 0)
+    mu1 = st.one_of(
+        st.just("0" * length),
+        st.lists(st.sampled_from("01"), min_size=length, max_size=length).map("".join),
+        st.text(alphabet="01x", max_size=8),
+    )
+    options = {
+        "construct": {
+            "--genus": st.one_of(st.just(str(genus)), _N_TOKENS),
+            "--n": _N_TOKENS,
+            "--mu1": mu1,
+            "--mu2": st.sampled_from(["0", "1", "omega", "2", ""]),
+        },
+        "poincare": {
+            "--w2": st.sampled_from(["0", "1", "2", "-1", "x"]),
+            "--genus": st.integers(min_value=-2, max_value=12).map(str),
+        },
+        "bundle-classify": {"--n": _N_TOKENS, "--mu1": mu1},
+    }[command]
+    missing = draw(st.sampled_from([None, None, None, *options]))
+    argv = [command]
+    for flag, values in options.items():
+        if flag != missing:
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "xml"]))]
+    return argv
+
+
+# exit codes the module docstring documents for each command
+_DOCUMENTED = {"construct": {0, 1, 4}, "poincare": {0, 1}, "bundle-classify": {0, 1}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argument_vectors())
+def test_argument_vectors_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "construct":
+            argv = argv + ["--out", str(Path(tmp) / "rep.json")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if argv[0] == "construct":
+            assert (Path(tmp) / "rep.json").exists() == (code == 0)
+    assert code in _DOCUMENTED[argv[0]]
+    assert "Traceback" not in err.getvalue()
+
+
 class TestConstruct:
     def test_round_trip_single_class(self, capsys, tmp_path):
         out_path = str(tmp_path / "omega.json")
@@ -247,6 +309,23 @@ class TestConstruct:
             "--mu1", "0000", "--mu2", "0", "--out", str(tmp_path / "x.json"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "n,mu1,mu2",
+        [("18", "0000", "0"), ("18", "1000", "0"), ("400", "1000", "0")],
+    )
+    def test_dimension_above_the_cap_exits_1_and_writes_nothing(self, capsys, tmp_path, n, mu1, mu2):
+        # n = 18 once raised inside the Clifford layer, or wrote a file that
+        # invariants refuses; n = 400 ran for tens of seconds
+        out_path = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "construct", "--genus", "2", "--n", n,
+            "--mu1", mu1, "--mu2", mu2, "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert f"got {n}" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("g,n", [(2, 4), (2, 6), (3, 4), (3, 6)])
     def test_round_trip_every_class(self, capsys, tmp_path, g, n):

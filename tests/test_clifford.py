@@ -9,14 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pglrep.clifford import (
+    MAX_DIM,
+    _SPINOR_PRIMES,
     CliffordElement,
     KernelElement,
     NotAVersor,
     NotInKernel,
     NotVectorPreserving,
+    _apply_vector,
+    _gamma_tables,
+    _spinor_kernel,
     commutator_product,
     lift_factors,
     lift_orthogonal,
+    spinor_commutator,
     twisted_conjugation_matrix,
     volume_element,
 )
@@ -329,6 +335,7 @@ def test_factored_and_dense_lifts_agree(n, handles, seed, scales):
     assert commutator_product(dense) == kernel
     assert commutator_product(mixed) == kernel
     assert commutator_product(rescaled) == kernel
+    assert spinor_commutator(gens) == kernel
 
 
 class TestCommutatorProduct:
@@ -437,3 +444,88 @@ def test_twisted_conjugation_is_a_homomorphism(seed, n):
     lhs = twisted_conjugation_matrix(g * h)
     rhs = twisted_conjugation_matrix(g) * twisted_conjugation_matrix(h)
     assert lhs == rhs
+
+
+def _random_vector(rng, n):
+    u = [rng.randint(-3, 3) for _ in range(n)]
+    if not any(u):
+        u[rng.randrange(n)] = 1
+    return u
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(range(2, MAX_DIM + 1, 2)),
+    st.sampled_from(_SPINOR_PRIMES),
+)
+def test_gamma_tables_satisfy_the_clifford_relations(seed, n, prime):
+    # u v + v u = 2 (u.v) on an arbitrary spinor, so the tables represent Cl(n)
+    rng = random.Random(seed)
+    (p, i), tables = prime, _gamma_tables(n)
+    assert i * i % p == p - 1
+    u, v = _random_vector(rng, n), _random_vector(rng, n)
+    psi = [rng.randrange(p) for _ in range(1 << n // 2)]
+    uv = _apply_vector(u, _apply_vector(v, psi, tables, i, p), tables, i, p)
+    vu = _apply_vector(v, _apply_vector(u, psi, tables, i, p), tables, i, p)
+    dot = sum(map(mul, u, v))
+    assert [(x + y) % p for x, y in zip(uv, vu)] == [2 * dot * c % p for c in psi]
+
+
+def test_volume_element_separates_the_chiralities_of_psi0():
+    # omega (e_0 + e_1) = i^(n/2) (e_0 - e_1), which is not +-(e_0 + e_1)
+    p, i = _SPINOR_PRIMES[0]
+    for n in range(2, MAX_DIM + 1, 2):
+        psi = [1, 1] + [0] * ((1 << n // 2) - 2)
+        for k in reversed(range(n)):
+            psi = _apply_vector([int(j == k) for j in range(n)], psi, _gamma_tables(n), i, p)
+        c = pow(i, n // 2, p)
+        assert psi[:2] == [c, p - c] and not any(psi[2:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from((2, 4, 6)))
+def test_spinor_and_exact_products_agree_on_arbitrary_vectors(seed, n):
+    # most of these vectors break the relation; a handle (g, g) or one with
+    # a factor-free lift lands in the kernel
+    rng = random.Random(seed)
+    lifts = [[_random_vector(rng, n) for _ in range(rng.randint(0, 3))] for _ in range(4)]
+    if rng.random() < 0.3:
+        lifts[1] = lifts[0]
+    try:
+        expected = commutator_product([[CliffordElement.vector(n, u) for u in g] for g in lifts])
+    except NotInKernel:
+        with pytest.raises(NotInKernel):
+            _spinor_kernel(n, lifts)
+    else:
+        assert _spinor_kernel(n, lifts) == expected
+
+
+class TestSpinorCommutator:
+    def test_matrices_that_break_the_relation_raise(self):
+        # a (3,4,5) rotation of the (e1, e2) plane and the reflection along e1
+        gens = [randmat.plane_rotation(4, 0, 1, (3, 4, 5)), RatMatrix.diagonal([-1, 1, 1, 1])]
+        with pytest.raises(NotInKernel):
+            commutator_product([lift_factors(m) for m in gens])
+        with pytest.raises(NotInKernel):
+            spinor_commutator(gens)
+
+    def test_all_four_kernel_elements(self):
+        x4, xp4 = build_representation(2, 4, InvariantClass((0,) * 4, Mu2Value.OMEGA)).gens[:2]
+        a, b = RatMatrix.diagonal([-1, -1, 1, 1]), RatMatrix.diagonal([-1, 1, -1, 1])
+        eye = RatMatrix.identity(4)
+        found = set()
+        for gens in ([eye, eye], [a, b], [x4, xp4], [a, b, x4, xp4]):
+            found.add(spinor_commutator(gens))
+            assert spinor_commutator(gens) == commutator_product([lift_factors(m) for m in gens])
+        assert found == set(KernelElement)
+
+    def test_dimension_checked(self):
+        with pytest.raises(ValueError, match="one even size"):
+            spinor_commutator([RatMatrix.identity(5)] * 2)
+        with pytest.raises(ValueError, match="one even size"):
+            spinor_commutator([RatMatrix.identity(4), RatMatrix.identity(6)])
+        with pytest.raises(ValueError, match="even-length"):
+            spinor_commutator([RatMatrix.identity(4)] * 3)
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            spinor_commutator([RatMatrix.identity(MAX_DIM + 2)] * 2)

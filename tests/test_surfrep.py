@@ -1,11 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pglrep.clifford import CliffordElement, KernelElement, commutator_product
-from pglrep.construct import catalogue_matrix
+from pglrep.clifford import (
+    _SPINOR_PRIMES,
+    CliffordElement,
+    KernelElement,
+    commutator_product,
+    lift_factors,
+)
+from pglrep.construct import build_representation, catalogue_matrix
 from pglrep.linalg import NotOrthogonal, RatMatrix
 from pglrep.surfrep import (
     Delta1NotZero,
@@ -44,6 +51,13 @@ class TestConstruction:
     def test_n_must_be_even_and_at_least_four(self):
         with pytest.raises(ValueError):
             SurfaceRep(2, 3, (RatMatrix.identity(3),) * 4)
+
+    def test_n_above_the_cap_rejected_for_every_class(self):
+        # the spin obstruction is bounded by MAX_DIM, so mu1 != 0 is refused too
+        eye, d = RatMatrix.identity(18), RatMatrix.diagonal([-1] + [1] * 17)
+        for gens in ((eye,) * 4, (d, d, eye, eye)):
+            with pytest.raises(ValueError, match="4 <= n <= 16"):
+                SurfaceRep(2, 18, gens)
 
     def test_generator_count(self):
         with pytest.raises(ValueError):
@@ -163,3 +177,73 @@ def test_two_obstruction_routes_agree(seed):
         gens.extend(rng.choice(pairs))
     r = SurfaceRep(2, 4, tuple(gens))
     assert (delta2(r) == RelationSign.MINUS_I) == (tilde_delta(r) == Mu2Value.OMEGA)
+
+
+def _handle(rng, n, mu2):
+    """A handle whose lifts' commutator is 1, -1 or +-omega as mu2 is 0, 1
+    or omega, conjugated by its own random rational orthogonal matrix."""
+    if mu2 == Mu2Value.ZERO:
+        # Q and its inverse: their lifts commute
+        q = randmat.random_special_orthogonal(rng, n)
+        a, b = q, q.transpose()
+    else:
+        a, b = build_representation(2, n, InvariantClass((0,) * 4, mu2)).gens[:2]
+    p = randmat.random_orthogonal(rng, n)
+    return [p * a * p.transpose(), p * b * p.transpose()]
+
+
+_MU2_OF_KERNEL = {
+    KernelElement.ONE: Mu2Value.ZERO,
+    KernelElement.MINUS_ONE: Mu2Value.ONE,
+    KernelElement.OMEGA: Mu2Value.OMEGA,
+    KernelElement.MINUS_OMEGA: Mu2Value.OMEGA,
+}
+
+
+@pytest.mark.parametrize("first", list(Mu2Value), ids=lambda m: m.value)
+@settings(max_examples=12, deadline=None)
+@given(
+    g=st.sampled_from((2, 3)),
+    n=st.sampled_from((4, 6, 8)),
+    others=st.lists(st.sampled_from(list(Mu2Value)), min_size=2, max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tilde_delta_agrees_with_the_exact_commutator_product(first, g, n, others, seed):
+    rng = random.Random(seed)
+    classes = [first] + others[: g - 1]
+    r = SurfaceRep(g, n, tuple(m for mu2 in classes for m in _handle(rng, n, mu2)))
+    exact = commutator_product([lift_factors(m) for m in r.gens])
+    assert tilde_delta(r) == _MU2_OF_KERNEL[exact]
+    # -1 is central and omega^2 = +-1, so an odd number of omega handles
+    # gives +-omega and none gives (-1)^(number of handles of class 1)
+    omegas, ones = classes.count(Mu2Value.OMEGA), classes.count(Mu2Value.ONE)
+    if omegas % 2:
+        assert tilde_delta(r) == Mu2Value.OMEGA
+    elif not omegas:
+        assert tilde_delta(r) == (Mu2Value.ONE if ones % 2 else Mu2Value.ZERO)
+
+
+def _reflection(u):
+    uu = sum(x * x for x in u)
+    return RatMatrix(
+        [[Fraction(uu * (r == c) - 2 * ur * uc, uu) for c, uc in enumerate(u)]
+         for r, ur in enumerate(u)]
+    )
+
+
+@pytest.mark.parametrize("count", [1, len(_SPINOR_PRIMES)], ids=["first-prime", "every-prime"])
+def test_spin_obstruction_when_a_reflection_norm_vanishes_mod_p(count):
+    # s^2 = -1 modulo each of the first `count` primes (Chinese remainders),
+    # so the reflection along u = (s, 1, 0, 0) has |u|^2 = 0 modulo each
+    s, modulus = 0, 1
+    primes = [p for p, _ in _SPINOR_PRIMES[:count]]
+    for p, i in _SPINOR_PRIMES[:count]:
+        s += modulus * ((i - s) * pow(modulus, -1, p) % p)
+        modulus *= p
+    r = _reflection([s, 1, 0, 0]) * RatMatrix.diagonal([1, 1, -1, 1])
+    norms = [sum(c * c for c in f.vector_coefficients()) for f in lift_factors(r)]
+    assert all(any(uu % p == 0 for uu in norms) for p in primes)
+    a = RatMatrix.diagonal([-1, -1, 1, 1])
+    b = RatMatrix.diagonal([-1, 1, -1, 1])
+    assert tilde_delta(rep(a, b, r, r)) == Mu2Value.ONE
+    assert tilde_delta(rep(r, r, a, b)) == Mu2Value.ONE
