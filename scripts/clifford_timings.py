@@ -11,8 +11,8 @@ seed is fixed, so every run times the same matrices.
 
 Printed for each n, as the best of a few repeats: `lift_factors` and
 `lift_orthogonal` on A and B; `commutator_product` on the factored lifts and
-on the dense lifts; `spinor_commutator` on (A, B), its integer lift
-included; the number of factors and of dense lift terms; and the largest
+on the dense lifts; `spinor_commutator` on the `reflection_vectors` of
+A and B, the factorisation included; the number of factors and of dense lift terms; and the largest
 coefficient bit size of any product the integer kernel returns on each
 product route (recorded in one extra untimed call, which also checks that
 the product is 1).  Dense lifts are left out above n = 12, where one
@@ -36,7 +36,7 @@ from pglrep.clifford import (
     lift_orthogonal,
     spinor_commutator,
 )
-from pglrep.linalg import RatMatrix
+from pglrep.linalg import RatMatrix, reflection_vectors
 
 SEED = 20261018
 TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41))
@@ -121,9 +121,10 @@ def main() -> None:
                 raise SystemExit(f"n={n}: commuting rotations must give the product 1")
         spinor_ms = "-"
         if n % 2 == 0:
-            if spinor_commutator(handle) != KernelElement.ONE:
+            spinor = lambda: spinor_commutator(n, [reflection_vectors(m) for m in handle])
+            if spinor() != KernelElement.ONE:
                 raise SystemExit(f"n={n}: the spinor residue must give the product 1")
-            spinor_ms = best_ms(lambda: spinor_commutator(handle), repeats)
+            spinor_ms = best_ms(spinor, repeats)
         dense_terms = max(len(g.terms) for g in lifts["dense"]) if n <= 12 else "-"
         row = (n, max(map(len, lifts["factored"])), dense_terms, *lift_ms, *product_ms,
                spinor_ms, *bits)

@@ -35,7 +35,7 @@ from .classify import (
     z0,
 )
 from .construct import PairKind, PairSpec, build_representation, catalogue_matrix, pair_for
-from .linalg import OrthComponent, RatMatrix, commutator, component
+from .linalg import OrthComponent, RatMatrix, commutator, component, reflection_vectors
 from .poincare import IntPolynomial, poly_divexact, pt_sl3, pt_so3
 from .surfrep import (
     InvariantClass,

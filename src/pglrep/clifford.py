@@ -5,8 +5,8 @@ so a blade product is a sign plus an XOR.  Every product of multivectors,
 including the norms, images and commutators below, runs in one integer
 kernel, `_int_product`, on term maps {mask: int}; `CliffordElement.__mul__`
 clears each operand's denominators once and divides each result term once.
-Orthogonal matrices are lifted to the Lipschitz group as lists of at most n
-*non-normalised* primitive integer reflection vectors (Cartan-Dieudonne),
+Orthogonal matrices are lifted to the Lipschitz group as the at most n
+*non-normalised* primitive integer vectors of `linalg.reflection_vectors`,
 which `commutator_product` takes one at a time instead of expanding a lift
 to up to 2^(n-1) terms.  Unit normalisation would force square roots, while
 every obstruction computed downstream is a commutator product and therefore
@@ -32,7 +32,7 @@ from functools import cache, reduce
 from operator import add, itemgetter, mul
 from typing import Dict, Mapping, Sequence, Union
 
-from .linalg import NotOrthogonal, RatMatrix, as_fraction
+from .linalg import RatMatrix, as_fraction, reflection_vectors
 
 MAX_DIM = 16
 
@@ -286,39 +286,11 @@ def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
     return RatMatrix(zip(*columns))
 
 
-def _reflection_vectors(a: RatMatrix) -> list[list[int]]:
-    """The primitive integer reflection vectors whose product lifts the
-    orthogonal matrix a, in order, which is not re-checked.  For each i, if
-    the remaining matrix sends e_i to v != e_i, reflect along v - e_i, which
-    fixes the columns already reduced; the columns still to be reduced are
-    integers over one common denominator and are reflected over Z."""
-    den = a.den
-    cols = [list(col) for col in zip(*a.num)]
-    vectors = []
-    for i, w in enumerate(cols):
-        # den * (v - e_i) over Z; reflections are scale-free
-        w[i] -= den
-        if not any(w):
-            continue
-        content = math.gcd(*w)
-        u = [x // content for x in w]
-        vectors.append(u)
-        uu = sum(x * x for x in u)
-        for col in cols[i + 1 :]:
-            # uu * (x - 2 (u.x) u / uu), so the denominator becomes den * uu
-            t = 2 * sum(map(mul, u, col))
-            col[:] = [uu * x - t * y for x, y in zip(col, u)]
-        den *= uu
-    return vectors
-
-
 def lift_factors(a: RatMatrix) -> list[CliffordElement]:
     """The primitive integer reflection vectors whose product lifts a, in order:
     at most n, and an even number exactly when det(a) = +1."""
-    if not a.is_orthogonal():
-        raise NotOrthogonal("only exactly orthogonal matrices can be lifted")
     _check_dimension(a.n)
-    return [CliffordElement.vector(a.n, u) for u in _reflection_vectors(a)]
+    return [CliffordElement.vector(a.n, u) for u in reflection_vectors(a)]
 
 
 def lift_orthogonal(a: RatMatrix) -> CliffordElement:
@@ -420,9 +392,11 @@ def _apply_vector(u: Sequence[int], psi: list[int], tables, i: int, p: int) -> l
     return [c % p for c in out]
 
 
-def _spinor_kernel(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> KernelElement:
+def spinor_commutator(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> KernelElement:
     """The kernel element commutator_product names for lifts given as lists
-    of integer reflection vectors, decided on one spinor mod p.
+    of integer reflection vectors in R^n, n even (reflection_vectors gives
+    them for a matrix), decided on one spinor mod p instead of by
+    multiplying multivectors: (n/2) 2^(n/2) multiply-adds per vector.
 
     The product P of the vectors in commutator_product's order is applied to
     psi_0 = e_0 + e_1, right to left.  When the lifts cover matrices whose
@@ -431,10 +405,17 @@ def _spinor_kernel(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> KernelEl
     chirality, so omega psi_0 = i^(n/2) (e_0 - e_1) is not +-psi_0, and the
     four candidates are distinct mod p whenever p does not divide N.  A
     result that is none of them raises NotInKernel; a match proves nothing
-    unless the relation was certified.  If every prime divides N, the exact
-    product decides.
+    unless the relation was certified, as SurfaceRep does.  If every prime
+    divides N, the exact product decides.
     """
-    sequence = [u for g, h in zip(lifts[::2], lifts[1::2]) for u in g + h + g[::-1] + h[::-1]]
+    if len(lifts) < 2 or len(lifts) % 2 != 0:
+        raise ValueError("expected a non-empty even-length list of lifts")
+    _check_dimension(n)
+    if n % 2:
+        raise ValueError(f"the spinor route needs an even dimension, got n = {n}")
+    if any(len(u) != n for lift in lifts for u in lift):
+        raise ValueError(f"every reflection vector must have length n = {n}")
+    sequence = [u for g, h in zip(lifts[::2], lifts[1::2]) for u in (*g, *h, *g[::-1], *h[::-1])]
     norms = [sum(x * x for x in u) for lift in lifts for u in lift]
     tables = _gamma_tables(n)
     for p, i in _SPINOR_PRIMES:
@@ -458,21 +439,3 @@ def _spinor_kernel(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> KernelEl
             raise NotInKernel("commutator product is not +-1 or +-omega; the surface relation fails")
         return found
     return commutator_product([[CliffordElement.vector(n, u) for u in lift] for lift in lifts])
-
-
-def spinor_commutator(gens: Sequence[RatMatrix]) -> KernelElement:
-    """commutator_product([lift_factors(m) for m in gens]) for exactly
-    orthogonal matrices A_1, B_1, ..., A_g, B_g of even size whose
-    commutator product is +-I, decided on one spinor mod p instead of by
-    multiplying multivectors: (n/2) 2^(n/2) multiply-adds per reflection vector.
-
-    Neither orthogonality nor the relation is re-checked here; SurfaceRep
-    certifies both.
-    """
-    if len(gens) < 2 or len(gens) % 2 != 0:
-        raise ValueError("expected a non-empty even-length list of matrices")
-    n = gens[0].n
-    _check_dimension(n)
-    if n % 2 or any(m.n != n for m in gens):
-        raise ValueError(f"the spinor route needs matrices of one even size, got n = {n}")
-    return _spinor_kernel(n, [_reflection_vectors(m) for m in gens])

@@ -3,10 +3,10 @@
 A matrix is stored as a table of Python integers `num` over one positive
 common denominator `den`, kept in lowest terms (the gcd of `den` and every
 numerator is 1), so equal matrices have equal storage.  Products, the
-orthogonality certificate A^T A == den^2 I and fraction-free Bareiss
-determinants all run over Z; a `Fraction` is formed only where an entry or
-determinant is handed out.  Inverses of orthogonal matrices are taken as
-transposes; a general inverse is deliberately not provided.
+factorisation into reflections that certifies a matrix orthogonal, A^T A
+and Bareiss determinants all run over Z; a `Fraction` is formed only where
+an entry or determinant is handed out.  Inverses of orthogonal matrices are
+taken as transposes; a general inverse is deliberately not provided.
 """
 
 from __future__ import annotations
@@ -175,15 +175,43 @@ class RatMatrix:
         return True
 
 
+def reflection_vectors(a: RatMatrix) -> list[list[int]]:
+    """The at most n primitive integer vectors whose reflections multiply to
+    a, in order (Cartan-Dieudonne): an even number exactly when det(a) = +1,
+    and a Pin(n) lift of a.  NotOrthogonal unless a is exactly orthogonal.
+    For each i the remaining matrix sends e_i to v, which must be 0 above
+    row i and of norm 1; if v != e_i, reflect along v - e_i, which fixes
+    e_0, ..., e_(i-1).  Reflections keep inner products, so the checks make
+    the columns of a orthonormal, and the reflections reduce a to I."""
+    den = a.den
+    cols = [list(col) for col in zip(*a.num)]
+    vectors = []
+    for i, w in enumerate(cols):
+        if any(w[:i]) or sum(map(mul, w, w)) != den * den:
+            raise NotOrthogonal("matrix is not orthogonal")
+        # den * (v - e_i) over Z; reflections are scale-free
+        w[i] -= den
+        if not any(w):
+            continue
+        content = math.gcd(*w)
+        u = [x // content for x in w]
+        vectors.append(u)
+        uu = sum(x * x for x in u)
+        for col in cols[i + 1 :]:
+            # uu * (x - 2 (u.x) u / uu), so the denominator becomes den * uu
+            t = 2 * sum(map(mul, u, col))
+            col[:] = [uu * x - t * y for x, y in zip(col, u)]
+        den *= uu
+    return vectors
+
+
 def component(a: RatMatrix) -> OrthComponent:
-    """Which component of O(n) the matrix lies in (by determinant sign).
+    """Which component of O(n) the matrix lies in, by its reflection count.
 
     For n even the quotient to the projective group preserves components,
     so this also decides the component of the projective class.
     """
-    if not a.is_orthogonal():
-        raise NotOrthogonal("component is only defined for orthogonal matrices")
-    return OrthComponent.SO if a.det() == 1 else OrthComponent.O_MINUS
+    return OrthComponent.O_MINUS if len(reflection_vectors(a)) % 2 else OrthComponent.SO
 
 
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:

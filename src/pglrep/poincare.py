@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+# both series take about 0.05 s at g = 100 and 1.3 s at g = 400 on one core
+MAX_GENUS = 100
+
 
 class NotDivisible(ValueError):
     """Polynomial division left a nonzero remainder."""
@@ -154,6 +157,8 @@ def pt_so3(w2: int, g: int) -> IntPolynomial:
         raise ValueError(f"w2 must be 0 or 1, got {w2}")
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
+    if g > MAX_GENUS:
+        raise ValueError(f"genus {g} exceeds the supported maximum {MAX_GENUS}")
     shift = 2 * g + 2 - 2 * w2
     numerator = IntPolynomial((1, 0, 0, 1)) ** (2 * g) - (
         IntPolynomial((1, 1)) ** (2 * g) * IntPolynomial.t_power(shift)

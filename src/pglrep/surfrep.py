@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import mul
 
 from .clifford import MAX_DIM, KernelElement, spinor_commutator
-from .linalg import NotOrthogonal, RatMatrix, commutator
+from .linalg import NotOrthogonal, RatMatrix, commutator, reflection_vectors
 
 
 class RelationViolated(ValueError):
@@ -77,16 +79,16 @@ class InvariantClass:
 class SurfaceRep:
     """Genus g >= 2 representation into PO(n), 4 <= n <= MAX_DIM even, by O(n) lifts.
 
-    Construction certifies each generator exactly orthogonal, takes its
-    determinant sign, and checks the surface relation (commutator product
-    equal to +-I).  The component bits and the relation sign are kept, so
-    every invariant reads them instead of recomputing them.
+    Construction factors each generator into reflections once, which
+    certifies it orthogonal and gives its component and its Pin(n) lift, and
+    checks the surface relation (commutator product equal to +-I).  These
+    are kept, so every invariant reads them instead of recomputing them.
     """
 
     genus: int
     n: int
     gens: tuple[RatMatrix, ...]
-    component_bits: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    reflections: tuple[list[list[int]], ...] = field(init=False, compare=False, repr=False)
     relation_sign: RelationSign = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -101,24 +103,23 @@ class SurfaceRep:
             raise ValueError(
                 f"expected {2 * self.genus} generator matrices, got {len(gens)}"
             )
-        bits = []
+        reflections = []
         for k, m in enumerate(gens):
             if m.n != self.n:
                 raise ValueError(f"generator {generator_label(k)} is not {self.n}x{self.n}")
-            if not m.is_orthogonal():
-                raise NotOrthogonal(f"generator {generator_label(k)} is not orthogonal")
-            # an orthogonal matrix has determinant +-1; -1 is outside SO(n)
-            bits.append(0 if m.det() == 1 else 1)
-        identity = product = RatMatrix.identity(self.n)
-        for i in range(0, len(gens), 2):
-            product = product * commutator(gens[i], gens[i + 1])
+            try:
+                reflections.append(reflection_vectors(m))
+            except NotOrthogonal:
+                raise NotOrthogonal(f"generator {generator_label(k)} is not orthogonal") from None
+        product = reduce(mul, (commutator(a, b) for a, b in zip(gens[::2], gens[1::2])))
+        identity = RatMatrix.identity(self.n)
         if product == identity:
             sign = RelationSign.PLUS_I
         elif product == -identity:
             sign = RelationSign.MINUS_I
         else:
             raise RelationViolated("commutator product of the generators is not +-I")
-        object.__setattr__(self, "component_bits", tuple(bits))
+        object.__setattr__(self, "reflections", tuple(reflections))
         object.__setattr__(self, "relation_sign", sign)
 
 
@@ -132,8 +133,9 @@ def delta2(rep: SurfaceRep) -> RelationSign:
 
 
 def delta1(rep: SurfaceRep) -> tuple[int, ...]:
-    """Component vector: bit k is set iff generator k lies outside SO(n)."""
-    return rep.component_bits
+    """Component vector: bit k is set iff generator k lies outside SO(n),
+    that is, iff it factors into an odd number of reflections."""
+    return tuple(len(v) % 2 for v in rep.reflections)
 
 
 _KERNEL_TO_MU2 = {
@@ -148,14 +150,14 @@ _KERNEL_TO_MU2 = {
 def tilde_delta(rep: SurfaceRep) -> Mu2Value:
     """Spin-lift obstruction in {0, 1, omega}; requires delta1 = 0.
 
-    Each generator is lifted through the Clifford algebra as a product of
-    reflection vectors, and their commutator product in the Lipschitz group
-    is applied to one spinor mod p.  The relation sign is not read, so
-    delta2 and this obstruction stay two independent routes.
+    Each generator is lifted as the product of its reflection vectors, and
+    their commutator product in the Lipschitz group is applied to one
+    spinor mod p.  The relation sign is not read, so delta2 and this
+    obstruction stay two independent routes.
     """
     if any(delta1(rep)):
         raise Delta1NotZero("tilde_delta requires every generator in SO(n)")
-    return _KERNEL_TO_MU2[spinor_commutator(rep.gens)]
+    return _KERNEL_TO_MU2[spinor_commutator(rep.n, rep.reflections)]
 
 
 def invariants(rep: SurfaceRep) -> InvariantClass:

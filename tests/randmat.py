@@ -38,6 +38,15 @@ def plane_rotation(n: int, i: int, j: int, triple, transposed=False) -> RatMatri
     return RatMatrix(rows)
 
 
+def householder(u) -> RatMatrix:
+    """The reflection along the nonzero integer vector u."""
+    uu = sum(x * x for x in u)
+    return RatMatrix(
+        [[Fraction(uu * (r == c) - 2 * ur * uc, uu) for c, uc in enumerate(u)]
+         for r, ur in enumerate(u)]
+    )
+
+
 def signed_permutation(n: int, perm, signs) -> RatMatrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for col, (row, sign) in enumerate(zip(perm, signs)):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pglrep.cli import main, read_rep_file, write_rep_file
+from pglrep.poincare import MAX_GENUS as POINCARE_MAX_GENUS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -214,7 +215,8 @@ _N_TOKENS = st.one_of(
 def _argument_vectors(draw):
     """construct, poincare or bundle-classify, with each option most often
     well-formed, sometimes malformed, and at most one option missing.  The
-    genus stays small for poincare, whose work grows with it."""
+    poincare genus is most often small, and otherwise at, just above or far
+    above its cap."""
     command = draw(st.sampled_from(("construct", "poincare", "bundle-classify")))
     genus = draw(st.integers(min_value=-1, max_value=4))
     length = max(2 * genus, 0)
@@ -232,7 +234,10 @@ def _argument_vectors(draw):
         },
         "poincare": {
             "--w2": st.sampled_from(["0", "1", "2", "-1", "x"]),
-            "--genus": st.integers(min_value=-2, max_value=12).map(str),
+            "--genus": st.one_of(
+                st.integers(min_value=-2, max_value=12),
+                st.sampled_from([POINCARE_MAX_GENUS, POINCARE_MAX_GENUS + 1, 10**20]),
+            ).map(str),
         },
         "bundle-classify": {"--n": _N_TOKENS, "--mu1": mu1},
     }[command]
@@ -427,6 +432,18 @@ class TestTables:
         assert out == ""
         assert "exceeds the supported maximum" in err
         assert "Traceback" not in err
+
+    def test_poincare_genus_cap(self, capsys):
+        code, out, _ = run(capsys, "poincare", "--w2", "1", "--genus", str(POINCARE_MAX_GENUS))
+        assert code == 0 and out.startswith("coefficients by ascending degree")
+        for w2 in ("0", "1"):
+            code, out, err = run(
+                capsys, "poincare", "--w2", w2, "--genus", str(POINCARE_MAX_GENUS + 1)
+            )
+            assert code == 1
+            assert out == ""
+            assert err.count("error:") == 1 and "exceeds the supported maximum" in err
+            assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

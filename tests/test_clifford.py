@@ -18,7 +18,6 @@ from pglrep.clifford import (
     NotVectorPreserving,
     _apply_vector,
     _gamma_tables,
-    _spinor_kernel,
     commutator_product,
     lift_factors,
     lift_orthogonal,
@@ -27,7 +26,7 @@ from pglrep.clifford import (
     volume_element,
 )
 from pglrep.construct import build_representation
-from pglrep.linalg import NotOrthogonal, RatMatrix
+from pglrep.linalg import NotOrthogonal, RatMatrix, reflection_vectors
 from pglrep.surfrep import InvariantClass, Mu2Value
 
 import randmat
@@ -335,7 +334,7 @@ def test_factored_and_dense_lifts_agree(n, handles, seed, scales):
     assert commutator_product(dense) == kernel
     assert commutator_product(mixed) == kernel
     assert commutator_product(rescaled) == kernel
-    assert spinor_commutator(gens) == kernel
+    assert spinor_commutator(n, [reflection_vectors(m) for m in gens]) == kernel
 
 
 class TestCommutatorProduct:
@@ -496,9 +495,13 @@ def test_spinor_and_exact_products_agree_on_arbitrary_vectors(seed, n):
         expected = commutator_product([[CliffordElement.vector(n, u) for u in g] for g in lifts])
     except NotInKernel:
         with pytest.raises(NotInKernel):
-            _spinor_kernel(n, lifts)
+            spinor_commutator(n, lifts)
     else:
-        assert _spinor_kernel(n, lifts) == expected
+        assert spinor_commutator(n, lifts) == expected
+
+
+def _spinor(gens):
+    return spinor_commutator(gens[0].n, [reflection_vectors(m) for m in gens])
 
 
 class TestSpinorCommutator:
@@ -508,7 +511,7 @@ class TestSpinorCommutator:
         with pytest.raises(NotInKernel):
             commutator_product([lift_factors(m) for m in gens])
         with pytest.raises(NotInKernel):
-            spinor_commutator(gens)
+            _spinor(gens)
 
     def test_all_four_kernel_elements(self):
         x4, xp4 = build_representation(2, 4, InvariantClass((0,) * 4, Mu2Value.OMEGA)).gens[:2]
@@ -516,16 +519,22 @@ class TestSpinorCommutator:
         eye = RatMatrix.identity(4)
         found = set()
         for gens in ([eye, eye], [a, b], [x4, xp4], [a, b, x4, xp4]):
-            found.add(spinor_commutator(gens))
-            assert spinor_commutator(gens) == commutator_product([lift_factors(m) for m in gens])
+            found.add(_spinor(gens))
+            assert _spinor(gens) == commutator_product([lift_factors(m) for m in gens])
         assert found == set(KernelElement)
 
     def test_dimension_checked(self):
-        with pytest.raises(ValueError, match="one even size"):
-            spinor_commutator([RatMatrix.identity(5)] * 2)
-        with pytest.raises(ValueError, match="one even size"):
-            spinor_commutator([RatMatrix.identity(4), RatMatrix.identity(6)])
+        with pytest.raises(ValueError, match="even dimension"):
+            spinor_commutator(5, [[], []])
+        # an identity has no vectors, so mixed sizes need non-identity matrices
+        d4, d6 = RatMatrix.diagonal([-1, 1, 1, 1]), RatMatrix.diagonal([-1, 1, 1, 1, 1, 1])
+        with pytest.raises(ValueError, match="length n = 4"):
+            spinor_commutator(4, [reflection_vectors(d4), reflection_vectors(d6)])
         with pytest.raises(ValueError, match="even-length"):
-            spinor_commutator([RatMatrix.identity(4)] * 3)
+            spinor_commutator(4, [reflection_vectors(d4)] * 3)
+        with pytest.raises(ValueError, match="even-length"):
+            spinor_commutator(4, [])
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
-            spinor_commutator([RatMatrix.identity(MAX_DIM + 2)] * 2)
+            spinor_commutator(MAX_DIM + 2, [[], []])
+        with pytest.raises(ValueError, match="positive integer"):
+            spinor_commutator(0, [[], []])

@@ -1,7 +1,9 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from pglrep.linalg import (
     RatMatrix,
     commutator,
     component,
+    reflection_vectors,
 )
 
 import randmat
@@ -38,6 +41,42 @@ def test_component_examples():
 def test_component_rejects_non_orthogonal():
     with pytest.raises(NotOrthogonal):
         component(RatMatrix([[1, 1], [0, 1]]))
+    # unit columns that are not perpendicular
+    with pytest.raises(NotOrthogonal):
+        component(RatMatrix([[1, "3/5"], [0, "4/5"]]))
+
+
+@st.composite
+def unit_column_matrices(draw, n):
+    """Each column a column of its own random orthogonal matrix: every column
+    has norm 1, and most pairs of columns are not perpendicular."""
+    cols = []
+    for _ in range(n):
+        q = draw(randmat.orthogonal_matrices(n))
+        cols.append(q.transpose().rows[draw(st.integers(min_value=0, max_value=n - 1))])
+    return RatMatrix(zip(*cols))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=6))
+def test_reflection_vectors_certify_exactly_the_orthogonal_matrices(data, n):
+    a = data.draw(
+        st.one_of(
+            randmat.rational_tables(n).map(RatMatrix),
+            randmat.orthogonal_matrices(n),
+            unit_column_matrices(n),
+        )
+    )
+    if not a.is_orthogonal():
+        with pytest.raises(NotOrthogonal):
+            reflection_vectors(a)
+        return
+    vectors = reflection_vectors(a)
+    assert len(vectors) <= n
+    assert len(vectors) % 2 == (0 if a.det() == 1 else 1)
+    for u in vectors:
+        assert all(type(x) is int for x in u) and math.gcd(*u) == 1
+    assert reduce(mul, map(randmat.householder, vectors), RatMatrix.identity(n)) == a
 
 
 def test_commutator_examples():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -223,14 +222,6 @@ def test_tilde_delta_agrees_with_the_exact_commutator_product(first, g, n, other
         assert tilde_delta(r) == (Mu2Value.ONE if ones % 2 else Mu2Value.ZERO)
 
 
-def _reflection(u):
-    uu = sum(x * x for x in u)
-    return RatMatrix(
-        [[Fraction(uu * (r == c) - 2 * ur * uc, uu) for c, uc in enumerate(u)]
-         for r, ur in enumerate(u)]
-    )
-
-
 @pytest.mark.parametrize("count", [1, len(_SPINOR_PRIMES)], ids=["first-prime", "every-prime"])
 def test_spin_obstruction_when_a_reflection_norm_vanishes_mod_p(count):
     # s^2 = -1 modulo each of the first `count` primes (Chinese remainders),
@@ -240,7 +231,7 @@ def test_spin_obstruction_when_a_reflection_norm_vanishes_mod_p(count):
     for p, i in _SPINOR_PRIMES[:count]:
         s += modulus * ((i - s) * pow(modulus, -1, p) % p)
         modulus *= p
-    r = _reflection([s, 1, 0, 0]) * RatMatrix.diagonal([1, 1, -1, 1])
+    r = randmat.householder([s, 1, 0, 0]) * RatMatrix.diagonal([1, 1, -1, 1])
     norms = [sum(c * c for c in f.vector_coefficients()) for f in lift_factors(r)]
     assert all(any(uu % p == 0 for uu in norms) for p in primes)
     a = RatMatrix.diagonal([-1, -1, 1, 1])
