@@ -367,14 +367,14 @@ class ComponentReport:
 
     deg: int
     entries: tuple[tuple[TwistedClass, int, int], ...]
-    total: int
-    fibre_total: int
 
-    def __post_init__(self):
-        if self.total != sum(m for _, m, _ in self.entries):
-            raise BadInput("total must equal the sum of multiplicities")
-        if self.fibre_total != sum(f for _, _, f in self.entries):
-            raise BadInput("fibre total must equal the sum of fibre multiplicities")
+    @property
+    def total(self) -> int:
+        return sum(m for _, m, _ in self.entries)
+
+    @property
+    def fibre_total(self) -> int:
+        return sum(f for _, _, f in self.entries)
 
 
 def egl_component_counts(deg: int, g: int, n: int) -> ComponentReport:
@@ -400,9 +400,7 @@ def egl_component_counts(deg: int, g: int, n: int) -> ComponentReport:
     else:
         for mu1bar in itertools.product((0, 1), repeat=2 * g):
             entries.append((TwistedClass(mu1bar, 1), 1, 1))
-    total = sum(m for _, m, _ in entries)
-    fibre_total = sum(f for _, _, f in entries)
-    return ComponentReport(deg, tuple(entries), total, fibre_total)
+    return ComponentReport(deg, tuple(entries))
 
 
 def tensor_by_line_bundle(

@@ -15,8 +15,9 @@ invariant under rescaling of the lifts.
 `spinor_commutator` names the same kernel element without multiplying
 multivectors.  For even n, Cl(n) over F_p with p = 1 (mod 4) is the matrix
 algebra of size 2^(n/2) (Lawson-Michelsohn, Spin Geometry, I.5), so the
-product of the reflection vectors is applied to one spinor mod p through
-Jordan-Wigner gamma matrices, at (n/2) 2^(n/2) multiply-adds per vector.
+product of the reflection vectors is applied to one spinor through
+Jordan-Wigner gamma matrices, at (n/2) 2^(n/2) multiply-adds per vector,
+mod p^(v+1) for one prime p, with p^v exactly dividing the norms' product.
 `commutator_product` stays the exact route the tests compare it with.
 
 The dimension is capped at 16: a blade mask then fits a machine word and a
@@ -339,19 +340,18 @@ def commutator_product(
     raise NotInKernel("commutator product is not +-1 or +-omega; the surface relation fails")
 
 
-def _sqrt_minus_one(p: int) -> int:
-    """A square root of -1 mod the prime p = 1 (mod 4): c^((p-1)/4) for the
-    least quadratic non-residue c."""
+# a prime = 1 (mod 4) below 2^30, so that residues mod p stay one machine digit
+_SPINOR_PRIME = 998244353
+
+
+def _sqrt_minus_one(p: int, m: int) -> int:
+    """A square root of -1 mod m, a power of the prime p = 1 (mod 4):
+    c^(phi(m)/4) for the least quadratic non-residue c mod p.  (Z/m)* is
+    cyclic, so c^(phi(m)/2) is its one element of order 2, which is -1."""
     c = 2
     while pow(c, (p - 1) // 2, p) != p - 1:
         c += 1
-    return pow(c, (p - 1) // 4, p)
-
-
-# (p, i) with i^2 = -1 mod p, for primes p = 1 (mod 4) below 2^30, so that
-# residues stay one machine digit; a prime that divides the norm of a
-# reflection vector leaves the residue undecided, and the next is tried
-_SPINOR_PRIMES = tuple((p, _sqrt_minus_one(p)) for p in (998244353, 469762049, 167772161))
+    return pow(c, m // p * (p - 1) // 4, m)
 
 
 @cache
@@ -381,32 +381,33 @@ def _gamma_tables(n: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
     return tuple(tables)
 
 
-def _apply_vector(u: Sequence[int], psi: list[int], tables, i: int, p: int) -> list[int]:
-    """The spinor (u_1 gamma_1 + ... + u_n gamma_n) psi mod p, for a nonzero u."""
+def _apply_vector(u: Sequence[int], psi: list[int], tables, i: int, m: int) -> list[int]:
+    """The spinor (u_1 gamma_1 + ... + u_n gamma_n) psi mod m, for a nonzero u."""
     out = None
     for (sources, selectors), x, y in zip(tables, u[::2], u[1::2]):
         if x or y:
-            a, b = (x + i * y) % p, (x - i * y) % p
+            a, b = (x + i * y) % m, (x - i * y) % m
             terms = map(mul, selectors((b, a, -b, -a)), sources(psi))
             out = list(terms) if out is None else list(map(add, out, terms))
-    return [c % p for c in out]
+    return [c % m for c in out]
 
 
 def spinor_commutator(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> KernelElement:
     """The kernel element commutator_product names for lifts given as lists
     of integer reflection vectors in R^n, n even (reflection_vectors gives
-    them for a matrix), decided on one spinor mod p instead of by
+    them for a matrix), decided on one spinor mod p^(v+1) instead of by
     multiplying multivectors: (n/2) 2^(n/2) multiply-adds per vector.
 
     The product P of the vectors in commutator_product's order is applied to
     psi_0 = e_0 + e_1, right to left.  When the lifts cover matrices whose
     commutator product is +-I, P is +-N or +-N omega, with N the product of
-    the vectors' norms, each vector taken once.  psi_0 has one entry of each
-    chirality, so omega psi_0 = i^(n/2) (e_0 - e_1) is not +-psi_0, and the
-    four candidates are distinct mod p whenever p does not divide N.  A
-    result that is none of them raises NotInKernel; a match proves nothing
-    unless the relation was certified, as SurfaceRep does.  If every prime
-    divides N, the exact product decides.
+    the vectors' norms, each vector taken once, and omega psi_0 =
+    i^(n/2) (e_0 - e_1).  These four candidates differ pairwise, in some
+    entry, by N times 2 or 1 +- i, units mod p, so they are distinct mod
+    m = p^(v+1) when p^v exactly divides N; m and N mod m are read off each
+    norm's powers of p without forming N.  A result that is none of them
+    raises NotInKernel; a match proves nothing unless the relation was
+    certified, as SurfaceRep does.
     """
     if len(lifts) < 2 or len(lifts) % 2 != 0:
         raise ValueError("expected a non-empty even-length list of lifts")
@@ -416,26 +417,25 @@ def spinor_commutator(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> Kerne
     if any(len(u) != n for lift in lifts for u in lift):
         raise ValueError(f"every reflection vector must have length n = {n}")
     sequence = [u for g, h in zip(lifts[::2], lifts[1::2]) for u in (*g, *h, *g[::-1], *h[::-1])]
-    norms = [sum(x * x for x in u) for lift in lifts for u in lift]
-    tables = _gamma_tables(n)
-    for p, i in _SPINOR_PRIMES:
-        norm = 1
-        for uu in norms:
-            norm = norm * uu % p
-        if not norm:
-            continue
-        psi = [1, 1] + [0] * ((1 << n // 2) - 2)
-        for u in reversed(sequence):
-            psi = _apply_vector(u, psi, tables, i, p)
-        c = pow(i, n // 2, p) * norm % p
-        candidates = {
-            (norm, norm): KernelElement.ONE,
-            (p - norm, p - norm): KernelElement.MINUS_ONE,
-            (c, p - c): KernelElement.OMEGA,
-            (p - c, c): KernelElement.MINUS_OMEGA,
-        }
-        found = None if any(psi[2:]) else candidates.get((psi[0], psi[1]))
-        if found is None:
-            raise NotInKernel("commutator product is not +-1 or +-omega; the surface relation fails")
-        return found
-    return commutator_product([[CliffordElement.vector(n, u) for u in lift] for lift in lifts])
+    p = _SPINOR_PRIME
+    m, unit = p, 1
+    for uu in (sum(x * x for x in u) for lift in lifts for u in lift):
+        while uu % p == 0:
+            uu //= p
+            m *= p
+        unit = unit * uu % p
+    norm, i, tables = m // p * unit, _sqrt_minus_one(p, m), _gamma_tables(n)
+    psi = [1, 1] + [0] * ((1 << n // 2) - 2)
+    for u in reversed(sequence):
+        psi = _apply_vector(u, psi, tables, i, m)
+    c = pow(i, n // 2, m) * norm % m
+    candidates = {
+        (norm, norm): KernelElement.ONE,
+        (m - norm, m - norm): KernelElement.MINUS_ONE,
+        (c, m - c): KernelElement.OMEGA,
+        (m - c, c): KernelElement.MINUS_OMEGA,
+    }
+    found = None if any(psi[2:]) else candidates.get((psi[0], psi[1]))
+    if found is None:
+        raise NotInKernel("commutator product is not +-1 or +-omega; the surface relation fails")
+    return found

@@ -1,7 +1,7 @@
 """Explicit matrix catalogue and constructors realising every invariant class.
 
-The catalogue consists of seven families of orthogonal matrices defined by
-2x2 seeds and block recursions.  Two lookup tables pick, for any requested
+The catalogue consists of seven families of orthogonal matrices, each a
+block diagonal of 2x2 seeds.  Two lookup tables pick, for any requested
 pair of components, a commuting pair (commutator +I) or an anti-commuting
 pair (commutator -I); which family works depends on n mod 4.
 """
@@ -21,23 +21,36 @@ class BadDimension(ValueError):
     representation needs even n with 4 <= n <= MAX_DIM."""
 
 
-CATALOGUE_NAMES = ("X", "X'", "Y", "Y'", "Z", "W", "W'")
-
 _SEEDS = {
     "X": RatMatrix([[0, 1], [1, 0]]),
     "X'": RatMatrix([[1, 0], [0, -1]]),
     "Y": RatMatrix([[1, 0], [0, -1]]),
     "Y'": RatMatrix([[-1, 0], [0, 1]]),
     "Z": RatMatrix([[0, -1], [1, 0]]),
+    "I": RatMatrix.identity(2),
 }
+
+# family -> (the seeds heading the diagonal, the seed repeated after them)
+_BLOCKS = {
+    "X": ((), "X"),
+    "X'": ((), "X'"),
+    "Y": (("Y",), "I"),
+    "Y'": (("Y'",), "I"),
+    "Z": (("Z",), "X'"),
+    "W": (("X", "Z"), "X'"),
+    "W'": (("Z",), "X"),
+}
+
+CATALOGUE_NAMES = tuple(_BLOCKS)
 
 
 def catalogue_matrix(name: str, n: int) -> RatMatrix:
-    """The catalogue matrix of the given family in size n.
+    """The catalogue matrix of the given family in size n: a block diagonal
+    of 2x2 seeds, its head blocks followed by copies of its tail block.
 
-    Recursions: X_n = diag(X_2, X_{n-2}) and likewise for X'; Y and Y' pad
-    their seed with the identity; Z_n = diag(Z_2, X'_{n-2});
-    W_n = diag(X_2, Z_{n-2}); W'_n = diag(Z_2, X_{n-2}).
+    Unrolled, these are the recursions X_n = diag(X_2, X_{n-2}) and likewise
+    for X'; Y and Y' pad their seed with the identity; Z_n = diag(Z_2,
+    X'_{n-2}); W_n = diag(X_2, Z_{n-2}); W'_n = diag(Z_2, X_{n-2}).
     """
     if name not in CATALOGUE_NAMES:
         raise ValueError(f"unknown catalogue family {name!r}")
@@ -45,21 +58,9 @@ def catalogue_matrix(name: str, n: int) -> RatMatrix:
         raise BadDimension(f"catalogue matrices need even n >= 2, got {n}")
     if name in ("W", "W'") and n < 4:
         raise BadDimension(f"family {name} needs n >= 4, got {n}")
-    if name in ("Y", "Y'"):
-        if n == 2:
-            return _SEEDS[name]
-        return RatMatrix.block_diag(_SEEDS[name], RatMatrix.identity(n - 2))
-    if name in ("X", "X'"):
-        if n == 2:
-            return _SEEDS[name]
-        return RatMatrix.block_diag(_SEEDS[name], catalogue_matrix(name, n - 2))
-    if name == "Z":
-        if n == 2:
-            return _SEEDS["Z"]
-        return RatMatrix.block_diag(_SEEDS["Z"], catalogue_matrix("X'", n - 2))
-    if name == "W":
-        return RatMatrix.block_diag(_SEEDS["X"], catalogue_matrix("Z", n - 2))
-    return RatMatrix.block_diag(_SEEDS["Z"], catalogue_matrix("X", n - 2))
+    head, tail = _BLOCKS[name]
+    blocks = (*head, *[tail] * (n // 2 - len(head)))
+    return RatMatrix.block_diag(*(_SEEDS[b] for b in blocks))
 
 
 class PairKind(Enum):

@@ -110,7 +110,7 @@ class TestInvariants:
         assert (code, out) == (1, "")
         assert "n = 18 exceeds the supported maximum 16" in err
 
-    @pytest.mark.parametrize("entry", ["1e10000000", "0.5", " 1", "1_0"])
+    @pytest.mark.parametrize("entry", ["1e10000000", "0.5", " 1", "1_0", "1/0"])
     def test_entry_outside_integer_or_p_over_q_exits_1(self, capsys, tmp_path, entry):
         doc = json.loads(json.dumps(TRIVIAL))
         doc["generators"][0][0][0] = entry
@@ -121,6 +121,13 @@ class TestInvariants:
         # Fraction("1e10000000") alone takes tens of seconds
         assert time.monotonic() - start < 1.0
 
+    def test_boolean_entry_exits_1(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(TRIVIAL))
+        doc["generators"][0][0][0] = True
+        code, out, err = run(capsys, "invariants", write_doc(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert "boolean entry" in err
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -128,8 +135,9 @@ class TestInvariants:
             b'{"n": 4, "genus": 2, "generators": [[[' + b"1" * 5000 + b"]]]}",
             b"[" * 100000,
             b'{"n": 0, "genus": 2, "generators": [[], [], [], []]}',
+            b'[{"n": 4, "genus": 2, "generators": []}]',
         ],
-        ids=["bad-utf8", "int-past-digit-limit", "deep-nesting", "zero-dimension"],
+        ids=["bad-utf8", "int-past-digit-limit", "deep-nesting", "zero-dimension", "top-level-array"],
     )
     def test_malformed_file_exits_1(self, capsys, tmp_path, text):
         path = tmp_path / "rep.json"
@@ -401,6 +409,12 @@ class TestTables:
         )
         payload = json.loads(out)
         assert payload["lifts"] == {"O": False, "Pin": False}
+
+    def test_lift_check_invalid_class_exits_4(self, capsys):
+        # mu2 = 1 needs mu1 = 0
+        code, out, err = run(capsys, "lift-check", "--mu1", "0100", "--mu2", "1")
+        assert (code, out) == (4, "")
+        assert "invalid class" in err
 
     def test_bundle_classify(self, capsys):
         code, out, _ = run(capsys, "bundle-classify", "--n", "4", "--mu1", "0000")

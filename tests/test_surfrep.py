@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pglrep import clifford
 from pglrep.clifford import (
-    _SPINOR_PRIMES,
+    _SPINOR_PRIME,
     CliffordElement,
     KernelElement,
+    _sqrt_minus_one,
     commutator_product,
     lift_factors,
 )
@@ -222,18 +224,32 @@ def test_tilde_delta_agrees_with_the_exact_commutator_product(first, g, n, other
         assert tilde_delta(r) == (Mu2Value.ONE if ones % 2 else Mu2Value.ZERO)
 
 
-@pytest.mark.parametrize("count", [1, len(_SPINOR_PRIMES)], ids=["first-prime", "every-prime"])
-def test_spin_obstruction_when_a_reflection_norm_vanishes_mod_p(count):
-    # s^2 = -1 modulo each of the first `count` primes (Chinese remainders),
-    # so the reflection along u = (s, 1, 0, 0) has |u|^2 = 0 modulo each
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        [(_SPINOR_PRIME, 1)],
+        [(_SPINOR_PRIME, 2)],
+        [(_SPINOR_PRIME, 3)],
+        [(998244353, 1), (469762049, 1), (167772161, 1)],
+    ],
+    ids=["first-prime", "prime-squared", "prime-cubed", "every-prime"],
+)
+def test_spin_obstruction_when_a_reflection_norm_vanishes_mod_p(moduli, monkeypatch):
+    # s^2 = -1 modulo each prime power p^k (Chinese remainders), so the
+    # reflection along u = (s, 1, 0, 0) has |u|^2 = 0 modulo each.  With the
+    # exact product patched out, the residue mod p^(v+1) alone decides.
+    def exact_product(lifts):
+        raise AssertionError("the exact commutator product was called")
+
+    monkeypatch.setattr(clifford, "commutator_product", exact_product)
     s, modulus = 0, 1
-    primes = [p for p, _ in _SPINOR_PRIMES[:count]]
-    for p, i in _SPINOR_PRIMES[:count]:
-        s += modulus * ((i - s) * pow(modulus, -1, p) % p)
-        modulus *= p
+    for p, k in moduli:
+        q = p**k
+        s += modulus * ((_sqrt_minus_one(p, q) - s) * pow(modulus, -1, q) % q)
+        modulus *= q
     r = randmat.householder([s, 1, 0, 0]) * RatMatrix.diagonal([1, 1, -1, 1])
     norms = [sum(c * c for c in f.vector_coefficients()) for f in lift_factors(r)]
-    assert all(any(uu % p == 0 for uu in norms) for p in primes)
+    assert all(any(uu % p**k == 0 for uu in norms) for p, k in moduli)
     a = RatMatrix.diagonal([-1, -1, 1, 1])
     b = RatMatrix.diagonal([-1, 1, -1, 1])
     assert tilde_delta(rep(a, b, r, r)) == Mu2Value.ONE
