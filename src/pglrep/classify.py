@@ -13,10 +13,10 @@ the dimension and Stiefel-Whitney tensor formulas.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
 
+from .linalg import Frozen
 from .surfrep import InvariantClass, Mu2Value
 
 MAX_GROUP_SIZE = 1 << 16
@@ -40,17 +40,17 @@ class TargetInvalidForClass(ValueError):
 Element = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Frozen):
     """Finite abelian group as a product of cyclic factors.
 
     Elements are coefficient tuples reduced modulo the factor orders.
     """
 
-    orders: tuple[int, ...]
+    __slots__ = _fields = ("orders",)
 
-    def __post_init__(self):
-        if not self.orders or any(k < 2 for k in self.orders):
+    def __init__(self, orders: tuple[int, ...]):
+        object.__setattr__(self, "orders", orders)
+        if not orders or any(k < 2 for k in orders):
             raise BadInput("cyclic factor orders must all be >= 2")
         if self.size() > MAX_GROUP_SIZE:
             raise BadInput(f"group size exceeds the cap {MAX_GROUP_SIZE}")
@@ -86,8 +86,7 @@ class FinAbGroup:
             yield tuple(int(j == i) for j in range(len(self.orders)))
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Frozen):
     """Action of pi_0 on pi_1 given by one endomorphism per pi_0 generator.
 
     generator_images[k][j] is the image in pi_1 of the j-th pi_1 generator
@@ -95,25 +94,28 @@ class GroupAction:
     order divides the order of the acting generator.
     """
 
-    pi0: FinAbGroup
-    pi1: FinAbGroup
-    generator_images: tuple[tuple[Element, ...], ...]
+    __slots__ = _fields = ("pi0", "pi1", "generator_images")
 
-    def __post_init__(self):
-        if len(self.generator_images) != len(self.pi0.orders):
+    def __init__(
+        self,
+        pi0: FinAbGroup,
+        pi1: FinAbGroup,
+        generator_images: Sequence[Sequence[Sequence[int]]],
+    ):
+        if len(generator_images) != len(pi0.orders):
             raise BadInput("need one endomorphism per pi0 generator")
-        images = tuple(
-            tuple(self.pi1.reduce(v) for v in block) for block in self.generator_images
-        )
+        images = tuple(tuple(pi1.reduce(v) for v in block) for block in generator_images)
+        object.__setattr__(self, "pi0", pi0)
+        object.__setattr__(self, "pi1", pi1)
         object.__setattr__(self, "generator_images", images)
         for block in images:
-            if len(block) != len(self.pi1.orders):
+            if len(block) != len(pi1.orders):
                 raise BadInput("endomorphism must list one image per pi1 generator")
-        for k, order in enumerate(self.pi0.orders):
-            seen = {self._apply_generator(k, v) for v in self.pi1.elements()}
-            if len(seen) != self.pi1.size():
+        for k, order in enumerate(pi0.orders):
+            seen = {self._apply_generator(k, v) for v in pi1.elements()}
+            if len(seen) != pi1.size():
                 raise BadInput(f"pi0 generator {k} does not act by an automorphism")
-            for v in self.pi1.elements():
+            for v in pi1.elements():
                 w = v
                 for _ in range(order):
                     w = self._apply_generator(k, w)
@@ -317,28 +319,27 @@ def components_per_class(cls: InvariantClass, n: int, g: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class TwistedClass:
+class TwistedClass(Frozen):
     """Invariant class of a twisted orthogonal bundle (V, L, Q).
 
     Over mu1bar = 0 the payload is (w2, deg L) for even degree and just the
     degree for odd degree; over mu1bar != 0 only the degree remains.
     """
 
-    mu1bar: tuple[int, ...]
-    deg: int
-    w2: int | None = None
+    __slots__ = _fields = ("mu1bar", "deg", "w2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu1bar", tuple(self.mu1bar))
-        if any(bit not in (0, 1) for bit in self.mu1bar):
+    def __init__(self, mu1bar: Sequence[int], deg: int, w2: int | None = None):
+        mu1bar = tuple(mu1bar)
+        if any(bit not in (0, 1) for bit in mu1bar):
             raise BadInput("mu1bar entries must be bits")
-        zero = not any(self.mu1bar)
-        if zero and self.deg % 2 == 0:
-            if self.w2 not in (0, 1):
+        if not any(mu1bar) and deg % 2 == 0:
+            if w2 not in (0, 1):
                 raise BadInput("w2 in {0, 1} is required when mu1bar = 0 and deg even")
-        elif self.w2 is not None:
+        elif w2 is not None:
             raise BadInput("w2 is only carried when mu1bar = 0 and deg is even")
+        object.__setattr__(self, "mu1bar", mu1bar)
+        object.__setattr__(self, "deg", deg)
+        object.__setattr__(self, "w2", w2)
 
 
 def project_twisted(cls: TwistedClass) -> InvariantClass:
@@ -357,16 +358,18 @@ def project_twisted(cls: TwistedClass) -> InvariantClass:
     return InvariantClass(cls.mu1bar, mu2)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(Frozen):
     """Per-class component multiplicities with moduli and fixed-fibre totals.
 
     entries[i] = (twisted class, multiplicity in the full degree-d space,
     multiplicity in one fixed-line-bundle fibre).
     """
 
-    deg: int
-    entries: tuple[tuple[TwistedClass, int, int], ...]
+    __slots__ = _fields = ("deg", "entries")
+
+    def __init__(self, deg: int, entries: tuple[tuple[TwistedClass, int, int], ...]):
+        object.__setattr__(self, "deg", deg)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def total(self) -> int:

@@ -27,17 +27,17 @@ spinor has at most 256 entries.  Every example of interest here needs n <= 8.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cache, reduce
 from operator import add, itemgetter, mul
-from typing import Dict, Mapping, Sequence, Union
 
 from .linalg import RatMatrix, as_fraction, reflection_vectors
 
 MAX_DIM = 16
 
-Scalarish = Union[int, Fraction]
+Scalarish = int | Fraction
 
 
 class NotAVersor(ValueError):
@@ -83,11 +83,11 @@ def _parity_mask(a: int) -> int:
     return mask
 
 
-def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
+def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """The product of two integer term maps {mask: int}, zero terms dropped:
     the one loop over pairs of terms, which every Clifford product runs."""
     rhs = list(b.items())
-    acc: Dict[int, int] = {}
+    acc: dict[int, int] = {}
     for ma, ca in a.items():
         pm = _parity_mask(ma)
         for mb, cb in rhs:
@@ -99,7 +99,7 @@ def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> Dict[int, int]:
     return {m: c for m, c in acc.items() if c}
 
 
-def _cleared(x: CliffordElement) -> tuple[Dict[int, int], int]:
+def _cleared(x: CliffordElement) -> tuple[dict[int, int], int]:
     """The integer term map of d * x, and d, the lcm of x's denominators."""
     d = math.lcm(*(c.denominator for c in x.terms.values()))
     return {m: c.numerator * (d // c.denominator) for m, c in x.terms.items()}, d
@@ -117,7 +117,7 @@ class CliffordElement:
     def __init__(self, n: int, terms: Mapping[int, Scalarish]):
         _check_dimension(n)
         top = 1 << n
-        clean: Dict[int, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         for mask, coeff in terms.items():
             if not (0 <= mask < top):
                 raise ValueError(f"blade mask {mask} out of range for Cl({n})")
@@ -147,7 +147,7 @@ class CliffordElement:
         return cls(n, {1 << i: c for i, c in enumerate(coords)})
 
     @classmethod
-    def _raw(cls, n: int, terms: Dict[int, Fraction]) -> "CliffordElement":
+    def _raw(cls, n: int, terms: dict[int, Fraction]) -> "CliffordElement":
         # internal fast path: inputs already satisfy the invariants except
         # possibly for zero coefficients, which are pruned here
         out = object.__new__(cls)
@@ -235,7 +235,7 @@ class CliffordElement:
 
     def reversal(self) -> "CliffordElement":
         """Reverse factor order: grade k picks up (-1)^(k(k-1)/2)."""
-        out: Dict[int, Fraction] = {}
+        out: dict[int, Fraction] = {}
         for m, c in self.terms.items():
             k = m.bit_count()
             out[m] = -c if (k * (k - 1) // 2) % 2 else c
@@ -301,7 +301,7 @@ def lift_orthogonal(a: RatMatrix) -> CliffordElement:
 
 
 def commutator_product(
-    lifts: Sequence[Union[CliffordElement, Sequence[CliffordElement]]]
+    lifts: Sequence[CliffordElement | Sequence[CliffordElement]]
 ) -> KernelElement:
     """Product of commutators [g_1, h_1] ... [g_k, h_k] in the Lipschitz group.
 

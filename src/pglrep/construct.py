@@ -8,11 +8,10 @@ pair (commutator -I); which family works depends on n mod 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .clifford import MAX_DIM
-from .linalg import OrthComponent, RatMatrix
+from .linalg import Frozen, OrthComponent, RatMatrix
 from .surfrep import InvalidClass, InvariantClass, Mu2Value, SurfaceRep, invariants
 
 
@@ -68,12 +67,14 @@ class PairKind(Enum):
     ANTICOMMUTING = "anticommuting"
 
 
-@dataclass(frozen=True)
-class PairSpec:
+class PairSpec(Frozen):
     """A requested pair: commutation behaviour plus the two O(n) components."""
 
-    kind: PairKind
-    components: tuple[OrthComponent, OrthComponent]
+    __slots__ = _fields = ("kind", "components")
+
+    def __init__(self, kind: PairKind, components: tuple[OrthComponent, OrthComponent]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "components", components)
 
 
 # (first component, second component) -> catalogue family names.

@@ -12,17 +12,57 @@ taken as transposes; a general inverse is deliberately not provided.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence, Union
 
-Rationalish = Union[int, str, Fraction]
+Rationalish = int | str | Fraction
 
 
 class NotOrthogonal(ValueError):
     """An operation required an exactly orthogonal matrix."""
+
+
+class BadShape(ValueError):
+    """A matrix or a representation has the wrong size or number of parts."""
+
+
+class Frozen:
+    """Base of the immutable value classes, in the manner of a frozen dataclass:
+    equality (only with the same class), hash and a `Name(field=value, ...)`
+    repr, all over the fields named in `_fields`.  A subclass lists its
+    attributes in `__slots__` and sets each one once, in `__init__`, with
+    `object.__setattr__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, whose parameters are _fields
+        return type(self), self._values()
 
 
 class OrthComponent(Enum):
@@ -52,7 +92,7 @@ class RatMatrix:
         table = [[as_fraction(x) for x in row] for row in rows]
         n = len(table)
         if any(len(row) != n for row in table):
-            raise ValueError("matrix must be square and non-empty")
+            raise BadShape("matrix must be square and non-empty")
         # the lcm of reduced denominators leaves num / den in lowest terms
         den = math.lcm(*(x.denominator for row in table for x in row))
         num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in table)
@@ -60,7 +100,7 @@ class RatMatrix:
 
     def _fill(self, n: int, num: tuple, den: int) -> None:
         if n == 0:
-            raise ValueError("matrix must be square and non-empty")
+            raise BadShape("matrix must be square and non-empty")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -74,6 +114,9 @@ class RatMatrix:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("RatMatrix is immutable")
+
+    def __reduce__(self):
+        return RatMatrix._of, (self.num, self.den)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -116,7 +159,7 @@ class RatMatrix:
         if not isinstance(other, RatMatrix):
             return NotImplemented
         if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
+            raise BadShape(f"size mismatch: {self.n} vs {other.n}")
         cols = tuple(zip(*other.num))
         num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
         den = self.den * other.den
@@ -217,5 +260,5 @@ def component(a: RatMatrix) -> OrthComponent:
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """A B A^-1 B^-1 for orthogonal A, B (inverses taken as transposes)."""
     if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+        raise BadShape(f"size mismatch: {a.n} vs {b.n}")
     return a * b * a.transpose() * b.transpose()

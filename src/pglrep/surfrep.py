@@ -9,13 +9,13 @@ component vector because n is even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from enum import Enum
 from functools import reduce
 from operator import mul
 
 from .clifford import MAX_DIM, KernelElement, spinor_commutator
-from .linalg import NotOrthogonal, RatMatrix, commutator, reflection_vectors
+from .linalg import BadShape, Frozen, NotOrthogonal, RatMatrix, commutator, reflection_vectors
 
 
 class RelationViolated(ValueError):
@@ -48,24 +48,24 @@ def generator_label(index: int) -> str:
     return f"{'A' if index % 2 == 0 else 'B'}{index // 2 + 1}"
 
 
-@dataclass(frozen=True)
-class InvariantClass:
+class InvariantClass(Frozen):
     """Pair of topological invariants (mu1, mu2) of a projective bundle.
 
     mu1 is a Z_2 vector of length 2g; mu2 = 1 only occurs over mu1 = 0.
     """
 
-    mu1: tuple[int, ...]
-    mu2: Mu2Value
+    __slots__ = _fields = ("mu1", "mu2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu1", tuple(self.mu1))
-        if len(self.mu1) < 4 or len(self.mu1) % 2 != 0:
+    def __init__(self, mu1: Sequence[int], mu2: Mu2Value):
+        mu1 = tuple(mu1)
+        if len(mu1) < 4 or len(mu1) % 2 != 0:
             raise InvalidClass("mu1 must have even length 2g with g >= 2")
-        if any(bit not in (0, 1) for bit in self.mu1):
+        if any(bit not in (0, 1) for bit in mu1):
             raise InvalidClass("mu1 entries must be bits")
-        if self.mu2 == Mu2Value.ONE and any(self.mu1):
+        if mu2 == Mu2Value.ONE and any(mu1):
             raise InvalidClass("mu2 = 1 is only permitted when mu1 = 0")
+        object.__setattr__(self, "mu1", mu1)
+        object.__setattr__(self, "mu2", mu2)
 
     @property
     def mu1_is_zero(self) -> bool:
@@ -75,38 +75,43 @@ class InvariantClass:
         return "".join(str(b) for b in self.mu1)
 
 
-@dataclass(frozen=True)
-class SurfaceRep:
+class SurfaceRep(Frozen):
     """Genus g >= 2 representation into PO(n), 4 <= n <= MAX_DIM even, by O(n) lifts.
 
     Construction factors each generator into reflections once, which
     certifies it orthogonal and gives its component and its Pin(n) lift, and
     checks the surface relation (commutator product equal to +-I).  These
-    are kept, so every invariant reads them instead of recomputing them.
+    are kept, so every invariant reads them instead of recomputing them;
+    equality, hash and repr cover only genus, n and gens.
     """
 
-    genus: int
-    n: int
-    gens: tuple[RatMatrix, ...]
-    reflections: tuple[list[list[int]], ...] = field(init=False, compare=False, repr=False)
-    relation_sign: RelationSign = field(init=False, compare=False, repr=False)
+    _fields = ("genus", "n", "gens")
+    __slots__ = (*_fields, "reflections", "relation_sign")
+
+    def __init__(self, genus: int, n: int, gens: Sequence[RatMatrix]):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", gens)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Certify the generators and the surface relation.  The name is the
+        one the benchmark's tracer wraps as its certification span."""
         if self.genus < 2:
-            raise ValueError(f"genus must be >= 2, got {self.genus}")
+            raise BadShape(f"genus must be >= 2, got {self.genus}")
         # above MAX_DIM the spin obstruction cannot be computed
         if self.n % 2 != 0 or not 4 <= self.n <= MAX_DIM:
-            raise ValueError(f"n must be even with 4 <= n <= {MAX_DIM}, got {self.n}")
+            raise BadShape(f"n must be even with 4 <= n <= {MAX_DIM}, got {self.n}")
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)
         if len(gens) != 2 * self.genus:
-            raise ValueError(
+            raise BadShape(
                 f"expected {2 * self.genus} generator matrices, got {len(gens)}"
             )
         reflections = []
         for k, m in enumerate(gens):
             if m.n != self.n:
-                raise ValueError(f"generator {generator_label(k)} is not {self.n}x{self.n}")
+                raise BadShape(f"generator {generator_label(k)} is not {self.n}x{self.n}")
             try:
                 reflections.append(reflection_vectors(m))
             except NotOrthogonal:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pglrep.cli import main, read_rep_file, write_rep_file
+from pglrep.cli import MAX_FILE_GENUS, main, read_rep_file, write_rep_file
 from pglrep.poincare import MAX_GENUS as POINCARE_MAX_GENUS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -109,6 +109,17 @@ class TestInvariants:
         code, out, err = run(capsys, "invariants", write_doc(tmp_path, doc))
         assert (code, out) == (1, "")
         assert "n = 18 exceeds the supported maximum 16" in err
+
+    def test_genus_above_the_file_cap_exits_1(self, capsys, tmp_path):
+        def doc(genus):
+            return {"n": 4, "genus": genus, "generators": TRIVIAL["generators"][:1] * (2 * genus)}
+
+        assert run(capsys, "invariants", write_doc(tmp_path, doc(MAX_FILE_GENUS)))[0] == 0
+        code, out, err = run(capsys, "invariants", write_doc(tmp_path, doc(MAX_FILE_GENUS + 1)))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"parse error: genus = {MAX_FILE_GENUS + 1} exceeds the supported maximum {MAX_FILE_GENUS}\n"
+        )
 
     @pytest.mark.parametrize("entry", ["1e10000000", "0.5", " 1", "1_0", "1/0"])
     def test_entry_outside_integer_or_p_over_q_exits_1(self, capsys, tmp_path, entry):

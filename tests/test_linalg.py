@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pglrep.linalg import (
+    BadShape,
     NotOrthogonal,
     OrthComponent,
     RatMatrix,
@@ -90,8 +92,19 @@ def test_commutator_examples():
 
 
 def test_commutator_size_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         commutator(RatMatrix.identity(2), RatMatrix.identity(3))
+
+
+def test_pickle_round_trip():
+    m = RatMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
+    assert pickle.loads(pickle.dumps(m)) == m
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 0]], [[1, 0], [0]]], ids=["empty", "one-row", "ragged"])
+def test_non_square_tables_rejected(rows):
+    with pytest.raises(BadShape, match="square and non-empty"):
+        RatMatrix(rows)
 
 
 def test_matrix_equality_and_blocks():

@@ -14,7 +14,7 @@ from pglrep.clifford import (
     lift_factors,
 )
 from pglrep.construct import build_representation, catalogue_matrix
-from pglrep.linalg import NotOrthogonal, RatMatrix
+from pglrep.linalg import BadShape, NotOrthogonal, RatMatrix
 from pglrep.surfrep import (
     Delta1NotZero,
     InvalidClass,
@@ -46,23 +46,27 @@ def rep(*gens, g=2, n=4):
 
 class TestConstruction:
     def test_genus_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadShape):
             SurfaceRep(1, 4, (I4, I4))
 
     def test_n_must_be_even_and_at_least_four(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadShape):
             SurfaceRep(2, 3, (RatMatrix.identity(3),) * 4)
 
     def test_n_above_the_cap_rejected_for_every_class(self):
         # the spin obstruction is bounded by MAX_DIM, so mu1 != 0 is refused too
         eye, d = RatMatrix.identity(18), RatMatrix.diagonal([-1] + [1] * 17)
         for gens in ((eye,) * 4, (d, d, eye, eye)):
-            with pytest.raises(ValueError, match="4 <= n <= 16"):
+            with pytest.raises(BadShape, match="4 <= n <= 16"):
                 SurfaceRep(2, 18, gens)
 
     def test_generator_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadShape, match="expected 4 generator matrices"):
             SurfaceRep(2, 4, (I4, I4))
+
+    def test_generator_size(self):
+        with pytest.raises(BadShape, match="generator B1 is not 4x4"):
+            SurfaceRep(2, 4, (I4, RatMatrix.identity(6), I4, I4))
 
     def test_orthogonality_certified(self):
         bad = RatMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
