@@ -48,9 +48,9 @@ class FinAbGroup(Frozen):
 
     __slots__ = _fields = ("orders",)
 
-    def __init__(self, orders: tuple[int, ...]):
-        object.__setattr__(self, "orders", orders)
-        if not orders or any(k < 2 for k in orders):
+    def __init__(self, orders: Sequence[int]):
+        object.__setattr__(self, "orders", tuple(orders))
+        if not self.orders or any(k < 2 for k in self.orders):
             raise BadInput("cyclic factor orders must all be >= 2")
         if self.size() > MAX_GROUP_SIZE:
             raise BadInput(f"group size exceeds the cap {MAX_GROUP_SIZE}")
@@ -330,10 +330,10 @@ class TwistedClass(Frozen):
 
     def __init__(self, mu1bar: Sequence[int], deg: int, w2: int | None = None):
         mu1bar = tuple(mu1bar)
-        if any(bit not in (0, 1) for bit in mu1bar):
+        if any(type(bit) is not int or bit not in (0, 1) for bit in mu1bar):
             raise BadInput("mu1bar entries must be bits")
         if not any(mu1bar) and deg % 2 == 0:
-            if w2 not in (0, 1):
+            if type(w2) is not int or w2 not in (0, 1):
                 raise BadInput("w2 in {0, 1} is required when mu1bar = 0 and deg even")
         elif w2 is not None:
             raise BadInput("w2 is only carried when mu1bar = 0 and deg is even")
@@ -367,9 +367,9 @@ class ComponentReport(Frozen):
 
     __slots__ = _fields = ("deg", "entries")
 
-    def __init__(self, deg: int, entries: tuple[tuple[TwistedClass, int, int], ...]):
+    def __init__(self, deg: int, entries: Iterable[tuple[TwistedClass, int, int]]):
         object.__setattr__(self, "deg", deg)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(map(tuple, entries)))
 
     @property
     def total(self) -> int:
@@ -403,7 +403,7 @@ def egl_component_counts(deg: int, g: int, n: int) -> ComponentReport:
     else:
         for mu1bar in itertools.product((0, 1), repeat=2 * g):
             entries.append((TwistedClass(mu1bar, 1), 1, 1))
-    return ComponentReport(deg, tuple(entries))
+    return ComponentReport(deg, entries)
 
 
 def tensor_by_line_bundle(

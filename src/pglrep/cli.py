@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
 
 from . import classify, construct, poincare, surfrep
 from .clifford import MAX_DIM
-from .linalg import BadShape, NotOrthogonal, RatMatrix
+from .linalg import BadShape, NotOrthogonal, RatMatrix, as_fraction
 from .surfrep import (
     InvalidClass,
     InvariantClass,
@@ -57,26 +56,17 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-# Fraction() alone would also take "1e10000000", " 1", "0.5" and "1_0", and
-# an exponent costs time without bound; only integers and "p/q" are documented
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def _entry_to_fraction(value: object, where: str) -> Fraction:
     if isinstance(value, bool):
         raise CliError(EXIT_PARSE, f"parse error: boolean entry in {where}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            if _RATIONAL.fullmatch(value):
-                return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-        raise CliError(EXIT_PARSE, f"parse error: bad rational {value!r} in {where}")
-    raise CliError(
-        EXIT_PARSE, f"parse error: entry in {where} must be an integer or 'p/q' string"
-    )
+    if not isinstance(value, (int, str)):
+        raise CliError(
+            EXIT_PARSE, f"parse error: entry in {where} must be an integer or 'p/q' string"
+        )
+    try:
+        return as_fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(EXIT_PARSE, f"parse error: bad rational {value!r} in {where}") from None
 
 
 def _fraction_to_entry(value: Fraction) -> int | str:

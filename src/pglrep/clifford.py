@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import add, itemgetter, mul
 
-from .linalg import RatMatrix, as_fraction, reflection_vectors
+from .linalg import Frozen, RatMatrix, as_fraction, reflection_vectors
 
 MAX_DIM = 16
 
@@ -105,14 +105,14 @@ def _cleared(x: CliffordElement) -> tuple[dict[int, int], int]:
     return {m: c.numerator * (d // c.denominator) for m, c in x.terms.items()}, d
 
 
-class CliffordElement:
+class CliffordElement(Frozen):
     """Sparse multivector of Cl(n) with exact rational coefficients.
 
     Zero coefficients are pruned on construction, so equality of the stored
     term maps is equality in the algebra.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = _fields = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[int, Scalarish]):
         _check_dimension(n)
@@ -126,9 +126,6 @@ class CliffordElement:
                 clean[mask] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("CliffordElement is immutable")
 
     @classmethod
     def scalar(cls, n: int, value: Scalarish) -> "CliffordElement":
@@ -195,14 +192,8 @@ class CliffordElement:
             return self * other
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CliffordElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
     def __hash__(self) -> int:
+        # terms is a dict, so the hash goes through its items
         return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:

@@ -8,6 +8,7 @@ pair (commutator -I); which family works depends on n mod 4.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 
 from .clifford import MAX_DIM
@@ -72,9 +73,9 @@ class PairSpec(Frozen):
 
     __slots__ = _fields = ("kind", "components")
 
-    def __init__(self, kind: PairKind, components: tuple[OrthComponent, OrthComponent]):
+    def __init__(self, kind: PairKind, components: Sequence[OrthComponent]):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "components", tuple(components))
 
 
 # (first component, second component) -> catalogue family names.

@@ -12,6 +12,7 @@ taken as transposes; a general inverse is deliberately not provided.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
@@ -32,9 +33,9 @@ class BadShape(ValueError):
 class Frozen:
     """Base of the immutable value classes, in the manner of a frozen dataclass:
     equality (only with the same class), hash and a `Name(field=value, ...)`
-    repr, all over the fields named in `_fields`.  A subclass lists its
-    attributes in `__slots__` and sets each one once, in `__init__`, with
-    `object.__setattr__`."""
+    repr, all over the fields named in `_fields`, and no assignment or
+    deletion.  A subclass lists its attributes in `__slots__` and sets each
+    one once, in `__init__`, with `object.__setattr__`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -72,21 +73,31 @@ class OrthComponent(Enum):
     O_MINUS = "O-"
 
 
+# Fraction() alone would also take "1e10000000", " 1", "0.5" and "1_0", and
+# an exponent costs time without bound; only integers and "p/q" are exact input
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def as_fraction(value: Rationalish) -> Fraction:
-    """Coerce an int, "p/q" string or Fraction to an exact Fraction."""
+    """Coerce an int, "p/q" string or Fraction to an exact Fraction.  TypeError
+    for another type or a bool, ValueError for another string, ZeroDivisionError
+    for q = 0."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if _RATIONAL.fullmatch(value):
+            return Fraction(value)
+        raise ValueError(f"not an integer or 'p/q' string: {value!r}")
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class RatMatrix:
+class RatMatrix(Frozen):
     """Immutable square matrix over the rationals, stored as num / den."""
 
-    __slots__ = ("n", "num", "den")
+    _fields = ("num", "den")
+    __slots__ = ("n", *_fields)
 
     def __init__(self, rows: Iterable[Iterable[Rationalish]]):
         table = [[as_fraction(x) for x in row] for row in rows]
@@ -111,9 +122,6 @@ class RatMatrix:
         m = object.__new__(cls)
         m._fill(len(num), num, den)
         return m
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("RatMatrix is immutable")
 
     def __reduce__(self):
         return RatMatrix._of, (self.num, self.den)
@@ -172,14 +180,6 @@ class RatMatrix:
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix._of(tuple(tuple(-x for x in row) for row in self.num), self.den)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix) and self.den == other.den and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)

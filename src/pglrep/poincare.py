@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from .linalg import Frozen
+
 # both series take about 0.05 s at g = 100 and 1.3 s at g = 400 on one core
 MAX_GENUS = 100
 
@@ -18,23 +20,22 @@ class NotDivisible(ValueError):
     """Polynomial division left a nonzero remainder."""
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Dense integer-coefficient polynomial in t; index = degree.
 
     Canonical form: no trailing zero coefficients, the zero polynomial is
-    the empty tuple.
+    the empty tuple.  Coefficients must be ints (not bool): TypeError else.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int] = ()):
-        values = [int(c) for c in coeffs]
+        values = list(coeffs)
+        if any(type(c) is not int for c in values):
+            raise TypeError(f"polynomial coefficients must be integers: {values!r}")
         while values and values[-1] == 0:
             values.pop()
         object.__setattr__(self, "coeffs", tuple(values))
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("IntPolynomial is immutable")
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -60,12 +61,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"

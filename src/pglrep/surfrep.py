@@ -60,7 +60,7 @@ class InvariantClass(Frozen):
         mu1 = tuple(mu1)
         if len(mu1) < 4 or len(mu1) % 2 != 0:
             raise InvalidClass("mu1 must have even length 2g with g >= 2")
-        if any(bit not in (0, 1) for bit in mu1):
+        if any(type(bit) is not int or bit not in (0, 1) for bit in mu1):
             raise InvalidClass("mu1 entries must be bits")
         if mu2 == Mu2Value.ONE and any(mu1):
             raise InvalidClass("mu2 = 1 is only permitted when mu1 = 0")

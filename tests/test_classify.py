@@ -246,6 +246,10 @@ class TestProjectTwisted:
             TwistedClass(Z, 1, w2=0)  # odd degree carries no w2
         with pytest.raises(BadInput):
             TwistedClass((1, 0, 0, 0), 0, w2=0)
+        # bits are ints: bool and float are refused, not read as 0 and 1
+        for mu1bar, w2 in (((1.0, 0, 0, 0), None), ((True, 0, 0, 0), None), (Z, 1.0), (Z, False)):
+            with pytest.raises(BadInput):
+                TwistedClass(mu1bar, 0, w2)
 
     def test_surjective_onto_invariant_classes(self):
         g = 2

@@ -73,6 +73,10 @@ class TestPairFor:
             assert a == RatMatrix.identity(n)
             assert b == catalogue_matrix("Y", n)
 
+    def test_components_may_be_a_list(self):
+        spec = PairSpec(PairKind.COMMUTING, [SO, OM])
+        assert pair_for(spec, 4) == pair_for(PairSpec(PairKind.COMMUTING, (SO, OM)), 4)
+
     def test_anticommuting_rotations_mod0(self):
         a, b = pair_for(PairSpec(PairKind.ANTICOMMUTING, (SO, SO)), 4)
         assert (a, b) == (catalogue_matrix("X", 4), catalogue_matrix("X'", 4))

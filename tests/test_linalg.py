@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pglrep.clifford import CliffordElement
 from pglrep.linalg import (
     BadShape,
     NotOrthogonal,
     OrthComponent,
     RatMatrix,
+    as_fraction,
     commutator,
     component,
     reflection_vectors,
@@ -105,6 +107,16 @@ def test_pickle_round_trip():
 def test_non_square_tables_rejected(rows):
     with pytest.raises(BadShape, match="square and non-empty"):
         RatMatrix(rows)
+
+
+@pytest.mark.parametrize("text", ["0.5", " 1", "1_0", "1e3", "1e10000000"])
+def test_only_integer_and_p_over_q_strings_are_rationals(text):
+    with pytest.raises(ValueError):
+        as_fraction(text)
+    with pytest.raises(ValueError):
+        RatMatrix([[text]])
+    with pytest.raises(ValueError):
+        CliffordElement.scalar(4, text)
 
 
 def test_matrix_equality_and_blocks():

@@ -15,6 +15,11 @@ class TestArithmetic:
         assert IntPolynomial(()).is_zero()
         assert IntPolynomial((0,)).degree() == -1
 
+    @pytest.mark.parametrize("coeffs", [(1.9, 2.5), ("7",), (1, True), (2.0,)])
+    def test_coefficients_must_be_ints(self, coeffs):
+        with pytest.raises(TypeError):
+            IntPolynomial(coeffs)
+
     def test_binomial_square(self):
         one_plus_t = IntPolynomial((1, 1))
         assert one_plus_t**2 == IntPolynomial((1, 2, 1))

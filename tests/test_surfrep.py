@@ -141,6 +141,9 @@ class TestInvariants:
     def test_invalid_class_combination_rejected(self):
         with pytest.raises(InvalidClass):
             InvariantClass((1, 0, 0, 0), Mu2Value.ONE)
+        for mu1 in ((False, True, 0.0, 0), (0, 1.0, 0, 0), (0, 0, True, 0)):
+            with pytest.raises(InvalidClass, match="bits"):
+                InvariantClass(mu1, Mu2Value.ZERO)
 
 
 @settings(max_examples=20, deadline=None)

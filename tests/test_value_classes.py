@@ -1,15 +1,22 @@
 """The immutable value classes behave like frozen records: field-wise
-equality and hash, no equality with plain tuples, no attribute assignment,
-and a `Name(field=value, ...)` repr."""
+equality and hash, no equality with plain tuples, no attribute assignment
+or deletion, pickle and copy, and a fixed repr.  All of it comes from one
+base, `linalg.Frozen`, which a scan of the sources keeps the only one."""
 
+import ast
 import copy
 import pickle
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pglrep
 from pglrep.classify import ComponentReport, FinAbGroup, GroupAction, TwistedClass
+from pglrep.clifford import CliffordElement
 from pglrep.construct import PairKind, PairSpec
 from pglrep.linalg import OrthComponent, RatMatrix
+from pglrep.poincare import IntPolynomial
 from pglrep.surfrep import InvariantClass, Mu2Value, RelationSign, SurfaceRep
 
 I4 = RatMatrix.identity(4)
@@ -40,7 +47,7 @@ CASES = {
     ),
     "FinAbGroup": (
         lambda: FinAbGroup((2, 4)),
-        lambda: FinAbGroup((2, 4)),
+        lambda: FinAbGroup([2, 4]),
         lambda: FinAbGroup((4, 2)),
         "FinAbGroup(orders=(2, 4))",
         ("orders",),
@@ -62,7 +69,7 @@ CASES = {
     ),
     "ComponentReport": (
         lambda: ComponentReport(1, ((TwistedClass((1, 0, 0, 0), 1), 1, 1),)),
-        lambda: ComponentReport(1, ((TwistedClass((1, 0, 0, 0), 1), 1, 1),)),
+        lambda: ComponentReport(1, [[TwistedClass((1, 0, 0, 0), 1), 1, 1]]),
         lambda: ComponentReport(1, ((TwistedClass((1, 0, 0, 0), 1), 1, 2),)),
         "ComponentReport(deg=1, entries=((TwistedClass(mu1bar=(1, 0, 0, 0), deg=1,"
         " w2=None), 1, 1),))",
@@ -70,11 +77,32 @@ CASES = {
     ),
     "PairSpec": (
         lambda: PairSpec(PairKind.COMMUTING, (SO, OM)),
-        lambda: PairSpec(PairKind.COMMUTING, (SO, OM)),
+        lambda: PairSpec(PairKind.COMMUTING, [SO, OM]),
         lambda: PairSpec(PairKind.ANTICOMMUTING, (SO, OM)),
         "PairSpec(kind=<PairKind.COMMUTING: 'commuting'>,"
         " components=(<OrthComponent.SO: 'SO'>, <OrthComponent.O_MINUS: 'O-'>))",
         ("kind", "components"),
+    ),
+    "RatMatrix": (
+        lambda: RatMatrix([["3/5", "-4/5"], ["4/5", "3/5"]]),
+        lambda: RatMatrix([[Fraction(6, 10), "-8/10"], ["4/5", Fraction(3, 5)]]),
+        lambda: RatMatrix([["3/5", "4/5"], ["-4/5", "3/5"]]),
+        "RatMatrix[3/5 -4/5; 4/5 3/5]",
+        ("num", "den"),
+    ),
+    "CliffordElement": (
+        lambda: CliffordElement(4, {0b0110: Fraction(2, 3), 0: 1}),
+        lambda: CliffordElement(4, {0: "1", 0b0110: "4/6", 0b1000: 0}),
+        lambda: CliffordElement(4, {0b0110: Fraction(2, 3), 0: 2}),
+        "Cl(4):1*1 + 2/3*e2e3",
+        ("n", "terms"),
+    ),
+    "IntPolynomial": (
+        lambda: IntPolynomial((1, 0, -1)),
+        lambda: IntPolynomial([1, 0, -1, 0]),
+        lambda: IntPolynomial((1, 0, 1)),
+        "IntPolynomial([1, 0, -1])",
+        ("coeffs",),
     ),
 }
 
@@ -143,3 +171,37 @@ def test_twisted_class_defaults_w2_to_none():
     assert TwistedClass((1, 0, 0, 0), 0).w2 is None
     assert TwistedClass((0, 0, 0, 0), 1).w2 is None
     assert TwistedClass(mu1bar=(0, 0, 0, 0), deg=0, w2=1).w2 == 1
+
+
+def _source_classes():
+    for path in sorted(Path(pglrep.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef):
+                yield path.name, node
+
+
+def _assigned_names(body):
+    for stmt in body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, None
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, stmt.value
+
+
+def test_frozen_is_the_only_immutability_idiom():
+    """Only Frozen writes __setattr__, __delattr__ or __eq__, and every class
+    with attributes in __slots__ derives from it."""
+    seen = set()
+    for filename, cls in _source_classes():
+        names = dict(_assigned_names(cls.body))
+        where = f"{filename}: {cls.name}"
+        if cls.name != "Frozen":
+            assert not {"__setattr__", "__delattr__", "__eq__"} & names.keys(), where
+        slots = names.get("__slots__")
+        if slots is not None and not (isinstance(slots, ast.Tuple) and not slots.elts):
+            bases = {b.id for b in cls.bases if isinstance(b, ast.Name)}
+            assert "Frozen" in bases, where
+            seen.add(cls.name)
+    assert CASES.keys() <= seen
