@@ -50,8 +50,8 @@ class FinAbGroup(Frozen):
 
     def __init__(self, orders: Sequence[int]):
         object.__setattr__(self, "orders", tuple(orders))
-        if not self.orders or any(k < 2 for k in self.orders):
-            raise BadInput("cyclic factor orders must all be >= 2")
+        if not self.orders or any(type(k) is not int or k < 2 for k in self.orders):
+            raise BadInput("cyclic factor orders must all be ints >= 2")
         if self.size() > MAX_GROUP_SIZE:
             raise BadInput(f"group size exceeds the cap {MAX_GROUP_SIZE}")
 
@@ -295,8 +295,8 @@ def _z0_mu2(n: int, g: int) -> Mu2Value:
 
 def component_count(n: int, g: int) -> int:
     """Number of connected components of the representation space in PGL(n, R)."""
-    if g < 2 or n < 2:
-        raise BadInput(f"need n >= 2 and g >= 2, got n={n}, g={g}")
+    if type(n) is not int or type(g) is not int or g < 2 or n < 2:
+        raise BadInput(f"need ints n >= 2 and g >= 2, got n={n!r}, g={g!r}")
     if n == 2:
         return 2 ** (2 * g + 1) + 4 * g - 5
     if n % 2 == 1:
@@ -330,8 +330,8 @@ class TwistedClass(Frozen):
 
     def __init__(self, mu1bar: Sequence[int], deg: int, w2: int | None = None):
         mu1bar = tuple(mu1bar)
-        if any(type(bit) is not int or bit not in (0, 1) for bit in mu1bar):
-            raise BadInput("mu1bar entries must be bits")
+        if type(deg) is not int or any(type(bit) is not int or bit not in (0, 1) for bit in mu1bar):
+            raise BadInput(f"deg must be an int and mu1bar entries bits, got {deg!r}, {mu1bar}")
         if not any(mu1bar) and deg % 2 == 0:
             if type(w2) is not int or w2 not in (0, 1):
                 raise BadInput("w2 in {0, 1} is required when mu1bar = 0 and deg even")

@@ -62,7 +62,7 @@ class KernelElement(Enum):
 
 
 def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
@@ -119,8 +119,8 @@ class CliffordElement(Frozen):
         top = 1 << n
         clean: dict[int, Fraction] = {}
         for mask, coeff in terms.items():
-            if not (0 <= mask < top):
-                raise ValueError(f"blade mask {mask} out of range for Cl({n})")
+            if type(mask) is not int or not (0 <= mask < top):
+                raise ValueError(f"blade mask {mask!r} is not an int in range for Cl({n})")
             c = as_fraction(coeff)
             if c != 0:
                 clean[mask] = c

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from enum import Enum
+from functools import lru_cache
 
 from .clifford import MAX_DIM
 from .linalg import Frozen, OrthComponent, RatMatrix
@@ -44,9 +45,16 @@ _BLOCKS = {
 CATALOGUE_NAMES = tuple(_BLOCKS)
 
 
+def _check_int(value, what: str) -> None:
+    # before any arithmetic or cache lookup: 4.0 == 4, and a bool is an int
+    if type(value) is not int:
+        raise BadDimension(f"{what} must be an int, got {value!r}")
+
+
 def catalogue_matrix(name: str, n: int) -> RatMatrix:
     """The catalogue matrix of the given family in size n: a block diagonal
     of 2x2 seeds, its head blocks followed by copies of its tail block.
+    Memoised: a repeat call returns the same immutable matrix.
 
     Unrolled, these are the recursions X_n = diag(X_2, X_{n-2}) and likewise
     for X'; Y and Y' pad their seed with the identity; Z_n = diag(Z_2,
@@ -54,12 +62,18 @@ def catalogue_matrix(name: str, n: int) -> RatMatrix:
     """
     if name not in CATALOGUE_NAMES:
         raise ValueError(f"unknown catalogue family {name!r}")
+    _check_int(n, "n")
     if n % 2 != 0 or n < 2:
         raise BadDimension(f"catalogue matrices need even n >= 2, got {n}")
     if name in ("W", "W'") and n < 4:
         raise BadDimension(f"family {name} needs n >= 4, got {n}")
     head, tail = _BLOCKS[name]
-    blocks = (*head, *[tail] * (n // 2 - len(head)))
+    return _seed_diagonal((*head, *[tail] * (n // 2 - len(head))))
+
+
+# bounded, so a huge n is not kept; 64 holds all seven families and I at every even n <= 16
+@lru_cache(maxsize=64)
+def _seed_diagonal(blocks: tuple[str, ...]) -> RatMatrix:
     return RatMatrix.block_diag(*(_SEEDS[b] for b in blocks))
 
 
@@ -102,11 +116,12 @@ _ANTICOMMUTING_MOD2 = {
 
 
 def _named(name: str, n: int) -> RatMatrix:
-    return RatMatrix.identity(n) if name == "I" else catalogue_matrix(name, n)
+    return _seed_diagonal(("I",) * (n // 2)) if name == "I" else catalogue_matrix(name, n)
 
 
 def pair_for(spec: PairSpec, n: int) -> tuple[RatMatrix, RatMatrix]:
     """A catalogue pair with the requested components and commutator +-I."""
+    _check_int(n, "n")
     if n % 2 != 0 or n < 4:
         raise BadDimension(f"pairs need even n >= 4, got {n}")
     if spec.kind == PairKind.COMMUTING:
@@ -141,6 +156,8 @@ def build_representation(g: int, n: int, target: InvariantClass) -> SurfaceRep:
     obstruction is decided on a spinor of 2^(n/2) entries, so n is capped
     at MAX_DIM, the bound representation files keep too.
     """
+    _check_int(g, "genus")
+    _check_int(n, "n")
     if n % 2 != 0 or not 4 <= n <= MAX_DIM:
         raise BadDimension(f"representations need even n with 4 <= n <= {MAX_DIM}, got {n}")
     if len(target.mu1) != 2 * g:

@@ -7,6 +7,9 @@ factorisation into reflections that certifies a matrix orthogonal, A^T A
 and Bareiss determinants all run over Z; a `Fraction` is formed only where
 an entry or determinant is handed out.  Inverses of orthogonal matrices are
 taken as transposes; a general inverse is deliberately not provided.
+
+Hot-path tuples are built from lists: that is faster than from a generator,
+whose shrunk results CPython's tuple free lists would keep once freed.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -161,15 +164,26 @@ class RatMatrix(Frozen):
         return Fraction(self.num[i][j], self.den)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._of(tuple(zip(*self.num)), self.den)
+        return RatMatrix._of(tuple([*zip(*self.num)]), self.den)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
             return NotImplemented
         if self.n != other.n:
             raise BadShape(f"size mismatch: {self.n} vs {other.n}")
-        cols = tuple(zip(*other.num))
-        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        rhs, n = other.num, self.n
+        cols = None
+        out = []
+        for row in self.num:
+            if row.count(0) == n - 1:
+                # one nonzero a, at column k = row.index(a): this row is a * rhs[k]
+                a = sum(row)
+                r = rhs[row.index(a)]
+                out.append(r if a == 1 else tuple([a * x for x in r]))
+            else:
+                cols = cols or [*zip(*rhs)]
+                out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+        num = tuple(out)
         den = self.den * other.den
         if den != 1:
             g = math.gcd(den, *chain.from_iterable(num))

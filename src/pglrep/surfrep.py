@@ -97,6 +97,9 @@ class SurfaceRep(Frozen):
     def __post_init__(self):
         """Certify the generators and the surface relation.  The name is the
         one the benchmark's tracer wraps as its certification span."""
+        # before any arithmetic: 2.0 == 2, and a bool is an int
+        if type(self.genus) is not int or type(self.n) is not int:
+            raise BadShape(f"genus and n must be ints, got {self.genus!r} and {self.n!r}")
         if self.genus < 2:
             raise BadShape(f"genus must be >= 2, got {self.genus}")
         # above MAX_DIM the spin obstruction cannot be computed
@@ -117,10 +120,12 @@ class SurfaceRep(Frozen):
             except NotOrthogonal:
                 raise NotOrthogonal(f"generator {generator_label(k)} is not orthogonal") from None
         product = reduce(mul, (commutator(a, b) for a, b in zip(gens[::2], gens[1::2])))
-        identity = RatMatrix.identity(self.n)
-        if product == identity:
+        # the generators are certified orthogonal, so the product is: an integer
+        # diagonal entry +-1 forces its column to be +-e_i, so one sign gives +-I
+        diagonal = {row[i] for i, row in enumerate(product.num)} if product.den == 1 else None
+        if diagonal == {1}:
             sign = RelationSign.PLUS_I
-        elif product == -identity:
+        elif diagonal == {-1}:
             sign = RelationSign.MINUS_I
         else:
             raise RelationViolated("commutator product of the generators is not +-I")
@@ -140,7 +145,7 @@ def delta2(rep: SurfaceRep) -> RelationSign:
 def delta1(rep: SurfaceRep) -> tuple[int, ...]:
     """Component vector: bit k is set iff generator k lies outside SO(n),
     that is, iff it factors into an odd number of reflections."""
-    return tuple(len(v) % 2 for v in rep.reflections)
+    return tuple([len(v) % 2 for v in rep.reflections])
 
 
 _KERNEL_TO_MU2 = {

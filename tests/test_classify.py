@@ -32,6 +32,24 @@ from pglrep.surfrep import InvariantClass, Mu2Value
 Z = (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FinAbGroup((2.0, 3)),
+        lambda: FinAbGroup((2, True)),
+        lambda: TwistedClass(Z, 0.0, 1),
+        lambda: TwistedClass((1, 0, 0, 0), True),
+        lambda: component_count(4, 2.0),
+        lambda: component_count(4.0, 2),
+        lambda: component_count(4, True),
+    ],
+)
+def test_non_int_orders_degrees_and_sizes_rejected(make):
+    # 2.0 == 2 and True == 1: only a type check tells these from valid input
+    with pytest.raises(BadInput):
+        make()
+
+
 class TestGroups:
     def test_sizes_and_arithmetic(self):
         g = FinAbGroup((2, 4))

@@ -108,6 +108,14 @@ class TestProduct:
         with pytest.raises(ValueError):
             CliffordElement.scalar(17, 1)
 
+    @pytest.mark.parametrize(
+        "n,terms",
+        [(4, {2.0: 1}), (4, {True: 1}), (4, {"1": 1}), (True, {1: 1}), (4.0, {1: 1})],
+    )
+    def test_dimension_and_masks_must_be_ints(self, n, terms):
+        with pytest.raises(ValueError):
+            CliffordElement(n, terms)
+
 
 def test_involutions_on_examples():
     assert e(3, 0).grade_involution() == -e(3, 0)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from pglrep.construct import (
 from pglrep.linalg import OrthComponent, RatMatrix, commutator, component
 from pglrep.surfrep import InvalidClass, InvariantClass, Mu2Value, invariants
 
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 SO = OrthComponent.SO
 OM = OrthComponent.O_MINUS
 
@@ -43,6 +49,21 @@ class TestCatalogueMatrix:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             catalogue_matrix("Q", 4)
+
+    def test_memoised_value(self):
+        x2, xp2 = RatMatrix([[0, 1], [1, 0]]), RatMatrix([[1, 0], [0, -1]])
+        w6 = catalogue_matrix("W", 6)
+        assert catalogue_matrix("W", 6) is w6
+        assert w6 == RatMatrix.block_diag(x2, RatMatrix([[0, -1], [1, 0]]), xp2)
+        with pytest.raises(AttributeError):
+            w6.num = ()
+
+    @pytest.mark.parametrize("n", [4.0, True, "4"])
+    def test_n_must_be_an_int(self, n):
+        # checked before the memo, where ("X", 4.0) would find the ("X", 4) entry
+        catalogue_matrix("X", 4)
+        with pytest.raises(BadDimension, match="must be an int"):
+            catalogue_matrix("X", n)
 
 
 def test_catalogue_component_facts():
@@ -100,6 +121,12 @@ class TestPairFor:
         with pytest.raises(BadDimension):
             pair_for(PairSpec(PairKind.COMMUTING, (SO, SO)), 2)
 
+    def test_identity_is_memoised(self):
+        a, b = pair_for(PairSpec(PairKind.COMMUTING, (SO, SO)), 6)
+        assert a is b == RatMatrix.identity(6)
+        with pytest.raises(BadDimension, match="must be an int"):
+            pair_for(PairSpec(PairKind.COMMUTING, (SO, SO)), 6.0)
+
 
 class TestBuildRepresentation:
     def test_trivial_class(self):
@@ -130,8 +157,25 @@ class TestBuildRepresentation:
         with pytest.raises(InvalidClass):
             build_representation(3, 4, InvariantClass((0, 0, 0, 0), Mu2Value.ZERO))
 
+    @pytest.mark.parametrize("g,n", [(2.0, 4), (2, 4.0), (True, 4), (2, False)])
+    def test_genus_and_n_must_be_ints(self, g, n):
+        with pytest.raises(BadDimension, match="must be an int"):
+            build_representation(g, n, InvariantClass((0, 0, 0, 0), Mu2Value.ZERO))
+
     @pytest.mark.parametrize("g,n", [(2, 4), (2, 6), (3, 4), (3, 6)])
     def test_exhaustive_round_trip(self, g, n):
         for target in invariant_classes(g, n):
             rep = build_representation(g, n, target)
             assert invariants(rep) == target
+
+
+def test_realize_all_classes_script():
+    # the construct harness of the README, run as shipped
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "realize_all_classes.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5 and all("realized and verified" in line for line in lines)

@@ -246,6 +246,37 @@ def test_orthogonality_certificate(data, n, q):
         assert not ref_is_orthogonal(rows)
 
 
+@st.composite
+def mixed_tables(draw, n: int) -> list[list[Fraction]]:
+    """Tables whose rows are zero, hold one nonzero entry (+-1, +-1/d or any
+    other value) or are dense, so the product takes both of its row paths."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    single = st.sampled_from((Fraction(1), Fraction(-1), Fraction(1, d), Fraction(-1, d)))
+    table = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("zero", "single", "dense")))
+        row = [Fraction(0)] * n
+        if kind == "single":
+            k = draw(st.integers(min_value=0, max_value=n - 1))
+            row[k] = draw(single | randmat.nonzero_fractions)
+        elif kind == "dense":
+            row = [draw(randmat.small_fractions) for _ in range(n)]
+        table.append(row)
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=8))
+def test_product_kernel_matches_fraction_reference(data, n):
+    a = data.draw(mixed_tables(n))
+    b = data.draw(mixed_tables(n))
+    product = RatMatrix(a) * RatMatrix(b)
+    assert as_lists(product) == ref_mul(a, b)
+    assert_lowest_terms(product)
+    rebuilt = RatMatrix(ref_mul(a, b))
+    assert product == rebuilt and hash(product) == hash(rebuilt)
+
+
 def test_equal_values_with_different_denominators():
     half = RatMatrix([["2/4", 0], [0, 1]])
     assert half == RatMatrix([["1/2", 0], [0, 1]])

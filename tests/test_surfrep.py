@@ -14,7 +14,7 @@ from pglrep.clifford import (
     lift_factors,
 )
 from pglrep.construct import build_representation, catalogue_matrix
-from pglrep.linalg import BadShape, NotOrthogonal, RatMatrix
+from pglrep.linalg import BadShape, NotOrthogonal, RatMatrix, commutator
 from pglrep.surfrep import (
     Delta1NotZero,
     InvalidClass,
@@ -60,6 +60,11 @@ class TestConstruction:
             with pytest.raises(BadShape, match="4 <= n <= 16"):
                 SurfaceRep(2, 18, gens)
 
+    @pytest.mark.parametrize("genus,n", [(2.0, 4), (2, 4.0), (True, 4), (2, True)])
+    def test_genus_and_n_must_be_ints(self, genus, n):
+        with pytest.raises(BadShape, match="must be ints"):
+            SurfaceRep(genus, n, (I4,) * 4)
+
     def test_generator_count(self):
         with pytest.raises(BadShape, match="expected 4 generator matrices"):
             SurfaceRep(2, 4, (I4, I4))
@@ -83,6 +88,30 @@ class TestConstruction:
 class TestCheckRelation:
     def test_trivial(self):
         assert delta2(rep()) == RelationSign.PLUS_I
+
+    def test_minus_identity_after_conjugation(self):
+        # a rational conjugate of the pair: the product is reduced from den > 1
+        q = randmat.random_orthogonal(random.Random(5), 4)
+        a, b = (q * m * q.transpose() for m in (X4, XP4))
+        assert a.den > 1
+        assert delta2(rep(a, b)) == RelationSign.MINUS_I
+
+    def test_mixed_sign_diagonal_is_violation(self):
+        # two reflections of the last plane at pi/4: commutator diag(1, 1, -1, -1)
+        # (a commutator has det 1, so diag(1, ..., 1, -1) cannot be reached)
+        a = RatMatrix.diagonal([1, 1, 1, -1])
+        b = RatMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        assert commutator(a, b) == RatMatrix.diagonal([1, 1, -1, -1])
+        with pytest.raises(RelationViolated):
+            rep(a, b)
+
+    def test_zero_on_the_diagonal_is_violation(self):
+        # [(1 2), (1 3)] is a 3-cycle: a permutation matrix with zero diagonal entries
+        a = RatMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        b = RatMatrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+        assert [commutator(a, b).num[i][i] for i in range(4)] == [0, 0, 0, 1]
+        with pytest.raises(RelationViolated):
+            rep(a, b)
 
     def test_anticommuting_pair(self):
         assert delta2(rep(X4, XP4)) == RelationSign.MINUS_I
