@@ -207,6 +207,7 @@ def po_bundle_data(n: int) -> GroupAction:
     a.[-1] + b.[omega]) and Z_4 generated by omega when n = 2 mod 4.  The
     orientation-reversing component acts by omega -> -omega.
     """
+    _check_ints(n=n)
     if n < 4 or n % 2 != 0:
         raise BadInput(f"n must be even and >= 4, got {n}")
     pi0 = FinAbGroup((2,))
@@ -230,7 +231,15 @@ def _zero_mu1(g: int) -> tuple[int, ...]:
     return (0,) * (2 * g)
 
 
+def _check_ints(**values: object) -> None:
+    # 2.0 == 2 and True == 1: only a type check tells these from valid input
+    for name, value in values.items():
+        if type(value) is not int:
+            raise BadInput(f"{name} must be an int, got {value!r}")
+
+
 def _check_g_n(g: int, n: int) -> None:
+    _check_ints(genus=g, n=n)
     if g < 2:
         raise BadInput(f"genus must be >= 2, got {g}")
     if g > MAX_GENUS:
@@ -282,6 +291,7 @@ def lifts_to(cls: InvariantClass, target: LiftTarget) -> bool:
 
 def z0(n: int, g: int) -> int:
     """(g - 1) n^2 / 4 mod 2: the split-class second Stiefel-Whitney value."""
+    _check_ints(n=n, genus=g)
     if n % 2 != 0:
         raise BadInput(f"n must be even, got {n}")
     return ((g - 1) * n * n // 4) % 2
@@ -389,7 +399,7 @@ def egl_component_counts(deg: int, g: int, n: int) -> ComponentReport:
     per mu1bar vector, all connected.
     """
     _check_g_n(g, n)
-    if deg not in (0, 1):
+    if type(deg) is not int or deg not in (0, 1):
         raise BadInput(f"twist degree must be 0 or 1, got {deg}")
     entries: list[tuple[TwistedClass, int, int]] = []
     if deg == 0:
@@ -426,6 +436,7 @@ def tensor_by_line_bundle(
 
 def moduli_dimension(n: int, g: int) -> int:
     """Complex dimension 2 n^2 (g - 1) + 2 of the ambient Higgs moduli space."""
+    _check_ints(n=n, genus=g)
     if n < 1 or g < 2:
         raise BadInput(f"need n >= 1 and g >= 2, got n={n}, g={g}")
     return 2 * n * n * (g - 1) + 2

@@ -2,9 +2,10 @@
 
 Representation files are JSON documents with keys n, genus and generators;
 matrix entries are integers or exact "p/q" strings (floats are rejected, the
-boundary stays exact).  Exit codes: 1 parse error or bad arguments, 2 a
-generator is not orthogonal, 3 the surface relation fails, 4 an invalid
-invariant class was requested.
+boundary stays exact).  Exit codes: 1 parse error, bad arguments or an
+output file that cannot be written, 2 a generator is not orthogonal, 3 the
+surface relation fails, 4 an invalid invariant class was requested.  Library
+errors reach an exit code only through the table _ERRORS, read by main.
 """
 
 from __future__ import annotations
@@ -101,25 +102,16 @@ def read_rep_file(path: str) -> SurfaceRep:
             EXIT_PARSE, f"parse error: expected {2 * genus} generator matrices"
         )
     matrices = []
-    try:
-        for k, rows in enumerate(generators):
-            label = generator_label(k)
-            if not isinstance(rows, list) or len(rows) != n or any(
-                not isinstance(row, list) or len(row) != n for row in rows
-            ):
-                raise CliError(EXIT_PARSE, f"parse error: generator {label} is not {n}x{n}")
-            matrices.append(
-                RatMatrix(
-                    [[_entry_to_fraction(x, f"generator {label}") for x in row] for row in rows]
-                )
-            )
-        return SurfaceRep(genus, n, tuple(matrices))
-    except NotOrthogonal as exc:
-        raise CliError(EXIT_NOT_ORTHOGONAL, f"not orthogonal: {exc}")
-    except RelationViolated as exc:
-        raise CliError(EXIT_RELATION, f"relation violated: {exc}")
-    except BadShape as exc:  # n = 0, n odd or below 4, genus below 2
-        raise CliError(EXIT_PARSE, f"parse error: {exc}")
+    for k, rows in enumerate(generators):
+        label = generator_label(k)
+        if not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(row, list) or len(row) != n for row in rows
+        ):
+            raise CliError(EXIT_PARSE, f"parse error: generator {label} is not {n}x{n}")
+        matrices.append(
+            RatMatrix([[_entry_to_fraction(x, f"generator {label}") for x in row] for row in rows])
+        )
+    return SurfaceRep(genus, n, tuple(matrices))
 
 
 def write_rep_file(path: str, rep: SurfaceRep) -> None:
@@ -149,27 +141,36 @@ def write_rep_file(path: str, rep: SurfaceRep) -> None:
 
 def _parse_mu1(text: str, genus: int | None = None) -> tuple[int, ...]:
     if not text or any(c not in "01" for c in text):
-        raise CliError(EXIT_PARSE, f"error: mu1 must be a bit string, got {text!r}")
+        raise ValueError(f"mu1 must be a bit string, got {text!r}")
     bits = tuple(int(c) for c in text)
     if genus is not None and len(bits) != 2 * genus:
-        raise CliError(
-            EXIT_PARSE, f"error: mu1 must have length {2 * genus} for genus {genus}"
-        )
+        raise ValueError(f"mu1 must have length {2 * genus} for genus {genus}")
     if genus is None and (len(bits) < 4 or len(bits) % 2 != 0):
-        raise CliError(EXIT_PARSE, "error: mu1 must have even length 2g with g >= 2")
+        raise ValueError("mu1 must have even length 2g with g >= 2")
     return bits
 
 
 _MU2_TOKENS = {"0": Mu2Value.ZERO, "1": Mu2Value.ONE, "omega": Mu2Value.OMEGA}
 
 
-def _emit(args, text_lines: list[str], payload: dict) -> int:
+def _emit(args, payload: dict, text_lines: list[str]) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=1))
     else:
         for line in text_lines:
             print(line)
     return 0
+
+
+def _table(rows: list[dict], footer: dict) -> list[str]:
+    """A header of the row keys, one line of values per row, then the footer."""
+    lines = [" ".join(rows[0])]
+    lines += [" ".join("-" if v is None else str(v) for v in row.values()) for row in rows]
+    return lines + [f"{key}: {value}" for key, value in footer.items()]
+
+
+def _joined(payload: dict, *keys: str) -> list[str]:
+    return [f"{key}: " + " ".join(str(v) for v in payload[key]) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -180,126 +181,78 @@ def _emit(args, text_lines: list[str], payload: dict) -> int:
 def cmd_invariants(args) -> int:
     rep = read_rep_file(args.path)
     d1 = surfrep.delta1(rep)
-    d2 = surfrep.delta2(rep)
     cls = surfrep.invariants(rep)
-    d1_str = "".join(str(b) for b in d1)
-    lines = [f"delta1 = {d1_str}", f"delta2 = {d2.value}"]
-    payload: dict[str, str] = {"delta1": d1_str, "delta2": d2.value}
+    payload = {"delta1": "".join(str(b) for b in d1), "delta2": surfrep.delta2(rep).value}
     if not any(d1):
         # with delta1 = 0, mu2 is tilde_delta itself
-        lines.append(f"tilde_delta = {cls.mu2.value}")
         payload["tilde_delta"] = cls.mu2.value
-    lines.append(f"mu1 = {cls.mu1_string()}")
-    lines.append(f"mu2 = {cls.mu2.value}")
     payload["mu1"] = cls.mu1_string()
     payload["mu2"] = cls.mu2.value
-    return _emit(args, lines, payload)
+    return _emit(args, payload, [f"{key} = {value}" for key, value in payload.items()])
 
 
 def cmd_construct(args) -> int:
     bits = _parse_mu1(args.mu1, args.genus)
-    try:
-        target = InvariantClass(bits, _MU2_TOKENS[args.mu2])
-        rep = construct.build_representation(args.genus, args.n, target)
-    except InvalidClass as exc:
-        raise CliError(EXIT_INVALID_CLASS, f"invalid class: {exc}")
-    except construct.BadDimension as exc:
-        raise CliError(EXIT_PARSE, f"error: {exc}")
+    target = InvariantClass(bits, _MU2_TOKENS[args.mu2])
+    rep = construct.build_representation(args.genus, args.n, target)
     write_rep_file(args.out, rep)
-    summary = f"g={args.genus}, n={args.n}, mu1={target.mu1_string()}, mu2={target.mu2.value}"
-    return _emit(
-        args,
-        [f"wrote {args.out} ({summary})"],
-        {
-            "path": args.out,
-            "genus": args.genus,
-            "n": args.n,
-            "mu1": target.mu1_string(),
-            "mu2": target.mu2.value,
-        },
-    )
-
-
-def _classes(args) -> list[InvariantClass]:
-    try:
-        return classify.invariant_classes(args.genus, args.n)
-    except classify.BadInput as exc:
-        raise CliError(EXIT_PARSE, f"error: {exc}")
+    payload = {
+        "path": args.out,
+        "genus": args.genus,
+        "n": args.n,
+        "mu1": target.mu1_string(),
+        "mu2": target.mu2.value,
+    }
+    summary = "g={genus}, n={n}, mu1={mu1}, mu2={mu2}".format(**payload)
+    return _emit(args, payload, [f"wrote {args.out} ({summary})"])
 
 
 def cmd_classify(args) -> int:
-    classes = _classes(args)
-    lines = ["mu1 mu2"]
-    rows = []
-    for cls in classes:
-        lines.append(f"{cls.mu1_string()} {cls.mu2.value}")
-        rows.append({"mu1": cls.mu1_string(), "mu2": cls.mu2.value})
-    lines.append(f"classes: {len(classes)}")
-    return _emit(args, lines, {"classes": rows, "count": len(classes)})
+    classes = classify.invariant_classes(args.genus, args.n)
+    rows = [{"mu1": cls.mu1_string(), "mu2": cls.mu2.value} for cls in classes]
+    payload = {"classes": rows, "count": len(rows)}
+    return _emit(args, payload, _table(rows, {"classes": len(rows)}))
 
 
 def cmd_components(args) -> int:
-    classes = _classes(args)
-    lines = ["mu1 mu2 components"]
-    rows = []
-    total = 0
-    for cls in classes:
-        k = classify.components_per_class(cls, args.n, args.genus)
-        total += k
-        lines.append(f"{cls.mu1_string()} {cls.mu2.value} {k}")
-        rows.append({"mu1": cls.mu1_string(), "mu2": cls.mu2.value, "components": k})
-    lines.append(f"total: {total}")
-    return _emit(args, lines, {"per_class": rows, "total": total})
+    rows = [
+        {
+            "mu1": cls.mu1_string(),
+            "mu2": cls.mu2.value,
+            "components": classify.components_per_class(cls, args.n, args.genus),
+        }
+        for cls in classify.invariant_classes(args.genus, args.n)
+    ]
+    payload = {"per_class": rows, "total": sum(row["components"] for row in rows)}
+    return _emit(args, payload, _table(rows, {"total": payload["total"]}))
 
 
 def cmd_egl_components(args) -> int:
-    try:
-        report = classify.egl_component_counts(args.deg, args.genus, args.n)
-    except classify.BadInput as exc:
-        raise CliError(EXIT_PARSE, f"error: {exc}")
-    lines = ["mu1bar w2 deg components fibre_components"]
-    rows = []
-    for cls, mult, fibre in report.entries:
-        bits = "".join(str(b) for b in cls.mu1bar)
-        w2 = "-" if cls.w2 is None else str(cls.w2)
-        lines.append(f"{bits} {w2} {cls.deg} {mult} {fibre}")
-        rows.append(
-            {
-                "mu1bar": bits,
-                "w2": cls.w2,
-                "deg": cls.deg,
-                "components": mult,
-                "fibre_components": fibre,
-            }
-        )
-    lines.append(f"total: {report.total}")
-    lines.append(f"fibre_total: {report.fibre_total}")
-    payload = {
-        "deg": report.deg,
-        "per_class": rows,
-        "total": report.total,
-        "fibre_total": report.fibre_total,
-    }
-    return _emit(args, lines, payload)
+    report = classify.egl_component_counts(args.deg, args.genus, args.n)
+    rows = [
+        {
+            "mu1bar": "".join(str(b) for b in cls.mu1bar),
+            "w2": cls.w2,
+            "deg": cls.deg,
+            "components": mult,
+            "fibre_components": fibre,
+        }
+        for cls, mult, fibre in report.entries
+    ]
+    totals = {"total": report.total, "fibre_total": report.fibre_total}
+    payload = {"deg": report.deg, "per_class": rows, **totals}
+    return _emit(args, payload, _table(rows, totals))
 
 
 def cmd_poincare(args) -> int:
-    try:
-        so3 = poincare.pt_so3(args.w2, args.genus)
-        sl3 = poincare.pt_sl3(args.w2, args.genus)
-    except poincare.NotDivisible as exc:
-        raise CliError(EXIT_PARSE, f"error: series is not an exact quotient: {exc}")
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"error: {exc}")
-    so3_c = list(so3.coeffs)
-    sl3_c = list(sl3.coeffs)
-    lines = [
-        "coefficients by ascending degree",
-        "so3: " + " ".join(str(c) for c in so3_c),
-        "sl3: " + " ".join(str(c) for c in sl3_c),
-    ]
-    payload = {"w2": args.w2, "genus": args.genus, "so3": so3_c, "sl3": sl3_c}
-    return _emit(args, lines, payload)
+    payload = {
+        "w2": args.w2,
+        "genus": args.genus,
+        "so3": list(poincare.pt_so3(args.w2, args.genus).coeffs),
+        "sl3": list(poincare.pt_sl3(args.w2, args.genus).coeffs),
+    }
+    lines = ["coefficients by ascending degree", *_joined(payload, "so3", "sl3")]
+    return _emit(args, payload, lines)
 
 
 _TARGETS_MU1_ZERO = (classify.LiftTarget.SO, classify.LiftTarget.SPIN)
@@ -307,20 +260,11 @@ _TARGETS_MU1_NONZERO = (classify.LiftTarget.O, classify.LiftTarget.PIN)
 
 
 def cmd_lift_check(args) -> int:
-    bits = _parse_mu1(args.mu1)
-    try:
-        cls = InvariantClass(bits, _MU2_TOKENS[args.mu2])
-    except InvalidClass as exc:
-        raise CliError(EXIT_INVALID_CLASS, f"invalid class: {exc}")
+    cls = InvariantClass(_parse_mu1(args.mu1), _MU2_TOKENS[args.mu2])
     targets = _TARGETS_MU1_ZERO if cls.mu1_is_zero else _TARGETS_MU1_NONZERO
-    lines = []
-    lifts = {}
-    for target in targets:
-        ok = classify.lifts_to(cls, target)
-        lines.append(f"{target.value}: {'yes' if ok else 'no'}")
-        lifts[target.value] = ok
+    lifts = {target.value: classify.lifts_to(cls, target) for target in targets}
     payload = {"mu1": cls.mu1_string(), "mu2": cls.mu2.value, "lifts": lifts}
-    return _emit(args, lines, payload)
+    return _emit(args, payload, [f"{key}: {'yes' if ok else 'no'}" for key, ok in lifts.items()])
 
 
 _DISPLAY_ORDER = {"0": 0, "1": 1, "omega": 2, "-omega": 3}
@@ -328,35 +272,21 @@ _DISPLAY_ORDER = {"0": 0, "1": 1, "omega": 2, "-omega": 3}
 
 def cmd_bundle_classify(args) -> int:
     bits = _parse_mu1(args.mu1)
-    try:
-        action = classify.po_bundle_data(args.n)
-    except classify.BadInput as exc:
-        raise CliError(EXIT_PARSE, f"error: {exc}")
+    action = classify.po_bundle_data(args.n)
     image = list(action.pi0.elements()) if any(bits) else [action.pi0.zero()]
-    gamma = classify.gamma_subgroup(action, image)
-    reps = classify.classify_bundles(action, image)
-    gamma_labels = sorted(
-        (classify.po_kernel_label(args.n, v) for v in gamma),
-        key=_DISPLAY_ORDER.__getitem__,
-    )
-    class_labels = sorted(
-        (classify.po_kernel_label(args.n, v) for v in reps),
-        key=_DISPLAY_ORDER.__getitem__,
-    )
-    pi1_name = "Z2 x Z2" if args.n % 4 == 0 else "Z4"
-    lines = [
-        f"pi1: {pi1_name}",
-        "gamma: " + " ".join(gamma_labels),
-        "classes: " + " ".join(class_labels),
-    ]
+
+    def labels(elements) -> list[str]:
+        names = (classify.po_kernel_label(args.n, v) for v in elements)
+        return sorted(names, key=_DISPLAY_ORDER.__getitem__)
+
     payload = {
         "n": args.n,
-        "pi1": pi1_name,
+        "pi1": "Z2 x Z2" if args.n % 4 == 0 else "Z4",
         "mu1_zero": not any(bits),
-        "gamma": gamma_labels,
-        "classes": class_labels,
+        "gamma": labels(classify.gamma_subgroup(action, image)),
+        "classes": labels(classify.classify_bundles(action, image)),
     }
-    return _emit(args, lines, payload)
+    return _emit(args, payload, [f"pi1: {payload['pi1']}", *_joined(payload, "gamma", "classes")])
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Library errors by exit code and stderr prefix; the first matching row wins.
+_ERRORS = (
+    (NotOrthogonal, EXIT_NOT_ORTHOGONAL, "not orthogonal: "),
+    (RelationViolated, EXIT_RELATION, "relation violated: "),
+    (InvalidClass, EXIT_INVALID_CLASS, "invalid class: "),
+    (BadShape, EXIT_PARSE, "parse error: "),
+    (poincare.NotDivisible, EXIT_PARSE, "error: series is not an exact quotient: "),
+    (ValueError, EXIT_PARSE, "error: "),
+    (OSError, EXIT_PARSE, "error: "),  # an --out path that cannot be written
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -426,6 +368,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
+    except tuple(kind for kind, _, _ in _ERRORS) as exc:
+        code, prefix = next((c, p) for kind, c, p in _ERRORS if isinstance(exc, kind))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

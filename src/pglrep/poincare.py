@@ -148,6 +148,8 @@ def pt_so3(w2: int, g: int) -> IntPolynomial:
     vanishes to second order there, so for w2 = 0 this raises NotDivisible
     for every g.
     """
+    if type(w2) is not int or type(g) is not int:
+        raise ValueError(f"w2 and genus must be ints, got w2={w2!r}, genus={g!r}")
     if w2 not in (0, 1):
         raise ValueError(f"w2 must be 0 or 1, got {w2}")
     if g < 2:

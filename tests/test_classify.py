@@ -42,6 +42,18 @@ Z = (0, 0, 0, 0)
         lambda: component_count(4, 2.0),
         lambda: component_count(4.0, 2),
         lambda: component_count(4, True),
+        lambda: invariant_classes(2.0, 4),
+        lambda: invariant_classes(2, 4.0),
+        lambda: invariant_classes(True, 4),
+        lambda: components_per_class(InvariantClass(Z, Mu2Value.ZERO), 4, 2.0),
+        lambda: egl_component_counts(0, 2.0, 4),
+        lambda: egl_component_counts(0.0, 2, 4),
+        lambda: egl_component_counts(True, 2, 4),
+        lambda: po_bundle_data(4.0),
+        lambda: z0(4, 2.5),
+        lambda: z0(4.0, 2),
+        lambda: moduli_dimension(4.5, 2),
+        lambda: moduli_dimension(4, 2.0),
     ],
 )
 def test_non_int_orders_degrees_and_sizes_rejected(make):

@@ -223,6 +223,17 @@ def test_invariants_on_mutated_files_never_crashes(text):
     assert "Traceback" not in err.getvalue()
 
 
+# exit codes the module docstring documents for each command
+_DOCUMENTED = {
+    "construct": {0, 1, 4},
+    "classify": {0, 1},
+    "components": {0, 1},
+    "egl-components": {0, 1},
+    "poincare": {0, 1},
+    "lift-check": {0, 1, 4},
+    "bundle-classify": {0, 1},
+}
+
 # sizes on both sides of the documented bounds, and tokens that are no integer
 _N_TOKENS = st.one_of(
     st.sampled_from([-4, 0, 2, 3, 4, 6, 8, 16, 17, 18, 24, 400, 10**20]).map(str),
@@ -230,13 +241,19 @@ _N_TOKENS = st.one_of(
 )
 
 
+# above the class-enumeration cap, or no integer; genus 8 itself takes seconds
+_GENUS_TOKENS = st.sampled_from(["9", "14", str(10**20), "", "x", "1.5"])
+
+_MU2 = st.sampled_from(["0", "1", "omega", "2", ""])
+
+
 @st.composite
 def _argument_vectors(draw):
-    """construct, poincare or bundle-classify, with each option most often
+    """Any subcommand but invariants, with each option most often
     well-formed, sometimes malformed, and at most one option missing.  The
     poincare genus is most often small, and otherwise at, just above or far
     above its cap."""
-    command = draw(st.sampled_from(("construct", "poincare", "bundle-classify")))
+    command = draw(st.sampled_from(sorted(_DOCUMENTED)))
     genus = draw(st.integers(min_value=-1, max_value=4))
     length = max(2 * genus, 0)
     mu1 = st.one_of(
@@ -244,13 +261,17 @@ def _argument_vectors(draw):
         st.lists(st.sampled_from("01"), min_size=length, max_size=length).map("".join),
         st.text(alphabet="01x", max_size=8),
     )
+    table = {"--genus": st.one_of(st.just(str(genus)), _GENUS_TOKENS), "--n": _N_TOKENS}
     options = {
         "construct": {
             "--genus": st.one_of(st.just(str(genus)), _N_TOKENS),
             "--n": _N_TOKENS,
             "--mu1": mu1,
-            "--mu2": st.sampled_from(["0", "1", "omega", "2", ""]),
+            "--mu2": _MU2,
         },
+        "classify": table,
+        "components": table,
+        "egl-components": {"--deg": st.sampled_from(["0", "1", "2", "x"]), **table},
         "poincare": {
             "--w2": st.sampled_from(["0", "1", "2", "-1", "x"]),
             "--genus": st.one_of(
@@ -258,6 +279,7 @@ def _argument_vectors(draw):
                 st.sampled_from([POINCARE_MAX_GENUS, POINCARE_MAX_GENUS + 1, 10**20]),
             ).map(str),
         },
+        "lift-check": {"--mu1": mu1, "--mu2": _MU2},
         "bundle-classify": {"--n": _N_TOKENS, "--mu1": mu1},
     }[command]
     missing = draw(st.sampled_from([None, None, None, *options]))
@@ -270,8 +292,6 @@ def _argument_vectors(draw):
     return argv
 
 
-# exit codes the module docstring documents for each command
-_DOCUMENTED = {"construct": {0, 1, 4}, "poincare": {0, 1}, "bundle-classify": {0, 1}}
 
 
 @settings(max_examples=200, deadline=None)
@@ -350,6 +370,19 @@ class TestConstruct:
         assert f"got {n}" in err
         assert "Traceback" not in err
         assert not out_path.exists()
+
+    def test_unwritable_out_exits_1_with_one_error_line(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir" / "x.json"
+        argv = ("construct", "--genus", "2", "--n", "4", "--mu1", "1000", "--mu2", "omega")
+        code, out, err = run(capsys, *argv, "--out", str(missing))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert not missing.parent.exists()
+        # an existing directory: the message names the directory, nothing is written in it
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("g,n", [(2, 4), (2, 6), (3, 4), (3, 6)])
     def test_round_trip_every_class(self, capsys, tmp_path, g, n):
@@ -552,7 +585,19 @@ GOLDEN_INVARIANTS = {
 }
 
 
+# stdout, stderr and exit code of the table and lookup subcommands in both
+# formats, and of one failure per row of cli._ERRORS but the unwritable
+# --out (TestConstruct); arguments ending in .json name files in FIXTURES
+GOLDEN_RUNS = json.loads((FIXTURES / "cli_golden.json").read_text())
+
+
 class TestGolden:
+    @pytest.mark.parametrize("record", GOLDEN_RUNS, ids=lambda r: " ".join(r["argv"]))
+    def test_subcommand_output(self, capsys, record):
+        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
+        assert run(capsys, *argv) == (record["exit"], record["stdout"], record["stderr"])
+
+
     def test_construct_file(self, capsys, tmp_path):
         out_path = tmp_path / "c.json"
         code, out, err = run(

@@ -96,3 +96,10 @@ class TestSeries:
             pt_so3(2, 2)
         with pytest.raises(ValueError):
             pt_so3(1, 1)
+
+    @pytest.mark.parametrize("series", [pt_so3, pt_sl3])
+    @pytest.mark.parametrize("w2,g", [(1, 2.5), (1.0, 2), (0.0, 2), (True, 2), (1, True), (1, "2")])
+    def test_non_int_class_or_genus_rejected(self, series, w2, g):
+        # True == 1 once returned the w2 = 1 series; floats raised a bare TypeError
+        with pytest.raises(ValueError, match="must be ints"):
+            series(w2, g)
