@@ -16,7 +16,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 
-from .linalg import Frozen
+from .frozen import Frozen
 from .surfrep import InvariantClass, Mu2Value
 
 MAX_GROUP_SIZE = 1 << 16

@@ -6,6 +6,10 @@ boundary stays exact).  Exit codes: 1 parse error, bad arguments or an
 output file that cannot be written, 2 a generator is not orthogonal, 3 the
 surface relation fails, 4 an invalid invariant class was requested.  Library
 errors reach an exit code only through the table _ERRORS, read by main.
+
+Each command runs the library layers it uses and no other: nothing here
+reads a layer attribute at import time, and the package registers its
+layers lazily, so a layer runs only when a command first reads from it.
 """
 
 from __future__ import annotations
@@ -14,19 +18,8 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 
-from . import classify, construct, poincare, surfrep
-from .clifford import MAX_DIM
-from .linalg import BadShape, NotOrthogonal, RatMatrix, as_fraction
-from .surfrep import (
-    InvalidClass,
-    InvariantClass,
-    Mu2Value,
-    RelationViolated,
-    SurfaceRep,
-    generator_label,
-)
+from . import classify, clifford, construct, linalg, poincare, surfrep
 
 EXIT_PARSE = 1
 EXIT_NOT_ORTHOGONAL = 2
@@ -35,7 +28,8 @@ EXIT_INVALID_CLASS = 4
 
 # the spin obstruction works mod p^(v+1), where p^v divides the product of
 # the reflection norms, so crafted n = 16 files whose every norm p^3 divides
-# take 0.85 s at genus 32, 2.4 s at genus 48 and 4.9 s at genus 64
+# take 0.85 s at genus 32, 2.4 s at genus 48 and 4.9 s at genus 64; construct
+# refuses a larger genus too, so every file it writes can be read back
 MAX_FILE_GENUS = 32
 
 
@@ -57,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _entry_to_fraction(value: object, where: str) -> Fraction:
+def _entry_to_fraction(value: object, where: str):
     if isinstance(value, bool):
         raise CliError(EXIT_PARSE, f"parse error: boolean entry in {where}")
     if not isinstance(value, (int, str)):
@@ -65,16 +59,16 @@ def _entry_to_fraction(value: object, where: str) -> Fraction:
             EXIT_PARSE, f"parse error: entry in {where} must be an integer or 'p/q' string"
         )
     try:
-        return as_fraction(value)
+        return linalg.as_fraction(value)
     except (ValueError, ZeroDivisionError):
         raise CliError(EXIT_PARSE, f"parse error: bad rational {value!r} in {where}") from None
 
 
-def _fraction_to_entry(value: Fraction) -> int | str:
+def _fraction_to_entry(value) -> int | str:
     return int(value) if value.denominator == 1 else str(value)
 
 
-def read_rep_file(path: str) -> SurfaceRep:
+def read_rep_file(path: str) -> surfrep.SurfaceRep:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -91,8 +85,10 @@ def read_rep_file(path: str) -> SurfaceRep:
         not isinstance(v, int) or isinstance(v, bool) for v in (n, genus)
     ):
         raise CliError(EXIT_PARSE, "parse error: need integer keys n, genus and a generators array")
-    if n > MAX_DIM:
-        raise CliError(EXIT_PARSE, f"parse error: n = {n} exceeds the supported maximum {MAX_DIM}")
+    if n > clifford.MAX_DIM:
+        raise CliError(
+            EXIT_PARSE, f"parse error: n = {n} exceeds the supported maximum {clifford.MAX_DIM}"
+        )
     if genus > MAX_FILE_GENUS:
         raise CliError(
             EXIT_PARSE, f"parse error: genus = {genus} exceeds the supported maximum {MAX_FILE_GENUS}"
@@ -103,18 +99,20 @@ def read_rep_file(path: str) -> SurfaceRep:
         )
     matrices = []
     for k, rows in enumerate(generators):
-        label = generator_label(k)
+        label = surfrep.generator_label(k)
         if not isinstance(rows, list) or len(rows) != n or any(
             not isinstance(row, list) or len(row) != n for row in rows
         ):
             raise CliError(EXIT_PARSE, f"parse error: generator {label} is not {n}x{n}")
         matrices.append(
-            RatMatrix([[_entry_to_fraction(x, f"generator {label}") for x in row] for row in rows])
+            linalg.RatMatrix(
+                [[_entry_to_fraction(x, f"generator {label}") for x in row] for row in rows]
+            )
         )
-    return SurfaceRep(genus, n, tuple(matrices))
+    return surfrep.SurfaceRep(genus, n, tuple(matrices))
 
 
-def write_rep_file(path: str, rep: SurfaceRep) -> None:
+def write_rep_file(path: str, rep: surfrep.SurfaceRep) -> None:
     # one matrix row per line keeps the files reviewable by eye
     blocks = []
     for m in rep.gens:
@@ -150,7 +148,8 @@ def _parse_mu1(text: str, genus: int | None = None) -> tuple[int, ...]:
     return bits
 
 
-_MU2_TOKENS = {"0": Mu2Value.ZERO, "1": Mu2Value.ONE, "omega": Mu2Value.OMEGA}
+# the values of surfrep.Mu2Value
+_MU2_TOKENS = ("0", "1", "omega")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> int:
@@ -192,8 +191,10 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.genus > MAX_FILE_GENUS:
+        raise ValueError(f"genus = {args.genus} exceeds the supported maximum {MAX_FILE_GENUS}")
     bits = _parse_mu1(args.mu1, args.genus)
-    target = InvariantClass(bits, _MU2_TOKENS[args.mu2])
+    target = surfrep.InvariantClass(bits, surfrep.Mu2Value(args.mu2))
     rep = construct.build_representation(args.genus, args.n, target)
     write_rep_file(args.out, rep)
     payload = {
@@ -255,13 +256,10 @@ def cmd_poincare(args) -> int:
     return _emit(args, payload, lines)
 
 
-_TARGETS_MU1_ZERO = (classify.LiftTarget.SO, classify.LiftTarget.SPIN)
-_TARGETS_MU1_NONZERO = (classify.LiftTarget.O, classify.LiftTarget.PIN)
-
-
 def cmd_lift_check(args) -> int:
-    cls = InvariantClass(_parse_mu1(args.mu1), _MU2_TOKENS[args.mu2])
-    targets = _TARGETS_MU1_ZERO if cls.mu1_is_zero else _TARGETS_MU1_NONZERO
+    cls = surfrep.InvariantClass(_parse_mu1(args.mu1), surfrep.Mu2Value(args.mu2))
+    lift = classify.LiftTarget
+    targets = (lift.SO, lift.SPIN) if cls.mu1_is_zero else (lift.O, lift.PIN)
     lifts = {target.value: classify.lifts_to(cls, target) for target in targets}
     payload = {"mu1": cls.mu1_string(), "mu2": cls.mu2.value, "lifts": lifts}
     return _emit(args, payload, [f"{key}: {'yes' if ok else 'no'}" for key, ok in lifts.items()])
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu1", required=True, help="bit string of length 2*genus")
-    p.add_argument("--mu2", choices=sorted(_MU2_TOKENS), required=True)
+    p.add_argument("--mu2", choices=_MU2_TOKENS, required=True)
     p.add_argument("--out", required=True, help="output representation file")
 
     p = add("classify", cmd_classify, "enumerate all invariant classes")
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lift-check", cmd_lift_check, "covering-lift predicates for a class")
     p.add_argument("--mu1", required=True, help="bit string of length 2g")
-    p.add_argument("--mu2", choices=sorted(_MU2_TOKENS), required=True)
+    p.add_argument("--mu2", choices=_MU2_TOKENS, required=True)
 
     p = add("bundle-classify", cmd_bundle_classify, "run the general bundle classifier")
     p.add_argument("--n", type=int, required=True)
@@ -345,16 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Library errors by exit code and stderr prefix; the first matching row wins.
-_ERRORS = (
-    (NotOrthogonal, EXIT_NOT_ORTHOGONAL, "not orthogonal: "),
-    (RelationViolated, EXIT_RELATION, "relation violated: "),
-    (InvalidClass, EXIT_INVALID_CLASS, "invalid class: "),
-    (BadShape, EXIT_PARSE, "parse error: "),
-    (poincare.NotDivisible, EXIT_PARSE, "error: series is not an exact quotient: "),
-    (ValueError, EXIT_PARSE, "error: "),
-    (OSError, EXIT_PARSE, "error: "),  # an --out path that cannot be written
-)
+# Library errors by exit code and stderr prefix, keyed by the class's module
+# and name so that no layer runs just to name its errors.  The row of the
+# first class in the exception's MRO wins, so the most specific row does.
+_ERRORS = {
+    "pglrep.linalg.NotOrthogonal": (EXIT_NOT_ORTHOGONAL, "not orthogonal: "),
+    "pglrep.surfrep.RelationViolated": (EXIT_RELATION, "relation violated: "),
+    "pglrep.surfrep.InvalidClass": (EXIT_INVALID_CLASS, "invalid class: "),
+    "pglrep.linalg.BadShape": (EXIT_PARSE, "parse error: "),
+    "pglrep.poincare.NotDivisible": (EXIT_PARSE, "error: series is not an exact quotient: "),
+    "builtins.ValueError": (EXIT_PARSE, "error: "),
+    "builtins.OSError": (EXIT_PARSE, "error: "),  # an --out path that cannot be written
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -368,8 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except tuple(kind for kind, _, _ in _ERRORS) as exc:
-        code, prefix = next((c, p) for kind, c, p in _ERRORS if isinstance(exc, kind))
+    except (ValueError, OSError) as exc:  # the two base rows of _ERRORS
+        names = (f"{kind.__module__}.{kind.__qualname__}" for kind in type(exc).__mro__)
+        code, prefix = next(_ERRORS[name] for name in names if name in _ERRORS)
         print(f"{prefix}{exc}", file=sys.stderr)
         return code
 

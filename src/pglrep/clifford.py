@@ -33,7 +33,8 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import add, itemgetter, mul
 
-from .linalg import Frozen, RatMatrix, as_fraction, reflection_vectors
+from .frozen import Frozen
+from .linalg import RatMatrix, as_fraction, reflection_vectors
 
 MAX_DIM = 16
 

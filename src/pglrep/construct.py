@@ -13,7 +13,8 @@ from enum import Enum
 from functools import lru_cache
 
 from .clifford import MAX_DIM
-from .linalg import Frozen, OrthComponent, RatMatrix
+from .frozen import Frozen
+from .linalg import OrthComponent, RatMatrix
 from .surfrep import InvalidClass, InvariantClass, Mu2Value, SurfaceRep, invariants
 
 

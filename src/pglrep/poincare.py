@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .linalg import Frozen
+from .frozen import Frozen
 
 # both series take about 0.05 s at g = 100 and 1.3 s at g = 400 on one core
 MAX_GENUS = 100

@@ -14,8 +14,10 @@ from enum import Enum
 from functools import reduce
 from operator import mul
 
-from .clifford import MAX_DIM, KernelElement, spinor_commutator
-from .linalg import BadShape, Frozen, NotOrthogonal, RatMatrix, commutator, reflection_vectors
+# clifford and linalg are reached at call time, so the class enumeration of
+# classify, which needs only InvariantClass, runs neither
+from . import clifford, linalg
+from .frozen import Frozen
 
 
 class RelationViolated(ValueError):
@@ -88,7 +90,7 @@ class SurfaceRep(Frozen):
     _fields = ("genus", "n", "gens")
     __slots__ = (*_fields, "reflections", "relation_sign")
 
-    def __init__(self, genus: int, n: int, gens: Sequence[RatMatrix]):
+    def __init__(self, genus: int, n: int, gens: Sequence[linalg.RatMatrix]):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", gens)
@@ -99,27 +101,28 @@ class SurfaceRep(Frozen):
         one the benchmark's tracer wraps as its certification span."""
         # before any arithmetic: 2.0 == 2, and a bool is an int
         if type(self.genus) is not int or type(self.n) is not int:
-            raise BadShape(f"genus and n must be ints, got {self.genus!r} and {self.n!r}")
+            raise linalg.BadShape(f"genus and n must be ints, got {self.genus!r} and {self.n!r}")
         if self.genus < 2:
-            raise BadShape(f"genus must be >= 2, got {self.genus}")
+            raise linalg.BadShape(f"genus must be >= 2, got {self.genus}")
         # above MAX_DIM the spin obstruction cannot be computed
-        if self.n % 2 != 0 or not 4 <= self.n <= MAX_DIM:
-            raise BadShape(f"n must be even with 4 <= n <= {MAX_DIM}, got {self.n}")
+        if self.n % 2 != 0 or not 4 <= self.n <= clifford.MAX_DIM:
+            raise linalg.BadShape(f"n must be even with 4 <= n <= {clifford.MAX_DIM}, got {self.n}")
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)
         if len(gens) != 2 * self.genus:
-            raise BadShape(
+            raise linalg.BadShape(
                 f"expected {2 * self.genus} generator matrices, got {len(gens)}"
             )
         reflections = []
         for k, m in enumerate(gens):
             if m.n != self.n:
-                raise BadShape(f"generator {generator_label(k)} is not {self.n}x{self.n}")
+                raise linalg.BadShape(f"generator {generator_label(k)} is not {self.n}x{self.n}")
             try:
-                reflections.append(reflection_vectors(m))
-            except NotOrthogonal:
-                raise NotOrthogonal(f"generator {generator_label(k)} is not orthogonal") from None
-        product = reduce(mul, (commutator(a, b) for a, b in zip(gens[::2], gens[1::2])))
+                reflections.append(linalg.reflection_vectors(m))
+            except linalg.NotOrthogonal:
+                label = generator_label(k)
+                raise linalg.NotOrthogonal(f"generator {label} is not orthogonal") from None
+        product = reduce(mul, (linalg.commutator(a, b) for a, b in zip(gens[::2], gens[1::2])))
         # the generators are certified orthogonal, so the product is: an integer
         # diagonal entry +-1 forces its column to be +-e_i, so one sign gives +-I
         diagonal = {row[i] for i, row in enumerate(product.num)} if product.den == 1 else None
@@ -148,12 +151,13 @@ def delta1(rep: SurfaceRep) -> tuple[int, ...]:
     return tuple([len(v) % 2 for v in rep.reflections])
 
 
+# keyed by clifford.KernelElement member name
 _KERNEL_TO_MU2 = {
-    KernelElement.ONE: Mu2Value.ZERO,
-    KernelElement.MINUS_ONE: Mu2Value.ONE,
+    "ONE": Mu2Value.ZERO,
+    "MINUS_ONE": Mu2Value.ONE,
     # +-omega are identified under projective equivalence
-    KernelElement.OMEGA: Mu2Value.OMEGA,
-    KernelElement.MINUS_OMEGA: Mu2Value.OMEGA,
+    "OMEGA": Mu2Value.OMEGA,
+    "MINUS_OMEGA": Mu2Value.OMEGA,
 }
 
 
@@ -167,7 +171,7 @@ def tilde_delta(rep: SurfaceRep) -> Mu2Value:
     """
     if any(delta1(rep)):
         raise Delta1NotZero("tilde_delta requires every generator in SO(n)")
-    return _KERNEL_TO_MU2[spinor_commutator(rep.n, rep.reflections)]
+    return _KERNEL_TO_MU2[clifford.spinor_commutator(rep.n, rep.reflections).name]
 
 
 def invariants(rep: SurfaceRep) -> InvariantClass:

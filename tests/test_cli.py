@@ -371,6 +371,25 @@ class TestConstruct:
         assert "Traceback" not in err
         assert not out_path.exists()
 
+    def test_genus_above_the_file_cap_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        # construct once wrote files above the cap that invariants refuses,
+        # with work growing in the genus (1.6 s at genus 2000, n = 16)
+        out_path = tmp_path / "x.json"
+        for genus in (MAX_FILE_GENUS + 1, 2000):
+            code, out, err = run(
+                capsys, "construct", "--genus", str(genus), "--n", "16",
+                "--mu1", "0" * (2 * genus), "--mu2", "0", "--out", str(out_path),
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: genus = {genus} exceeds the supported maximum {MAX_FILE_GENUS}\n"
+            assert not out_path.exists()
+        # at the cap the file is written and reads back
+        argv = ("--genus", str(MAX_FILE_GENUS), "--n", "4", "--mu1", "01" * MAX_FILE_GENUS)
+        assert run(capsys, "construct", *argv, "--mu2", "omega", "--out", str(out_path))[0] == 0
+        code, out, _ = run(capsys, "invariants", str(out_path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["mu1"] == "01" * MAX_FILE_GENUS
+
     def test_unwritable_out_exits_1_with_one_error_line(self, capsys, tmp_path):
         missing = tmp_path / "no-such-dir" / "x.json"
         argv = ("construct", "--genus", "2", "--n", "4", "--mu1", "1000", "--mu2", "omega")

@@ -1,7 +1,7 @@
 """The immutable value classes behave like frozen records: field-wise
 equality and hash, no equality with plain tuples, no attribute assignment
 or deletion, pickle and copy, and a fixed repr.  All of it comes from one
-base, `linalg.Frozen`, which a scan of the sources keeps the only one."""
+base, `pglrep.frozen.Frozen`, which a scan of the sources keeps the only one."""
 
 import ast
 import copy
