@@ -2,7 +2,8 @@
 
 A matrix is stored as a table of Python integers `num` over one positive
 common denominator `den`, kept in lowest terms (the gcd of `den` and every
-numerator is 1), so equal matrices have equal storage.  Products, the
+numerator is 1), so equal matrices have equal storage.  Products (one
+kernel, `integer_product`, which `RatMatrix.__mul__` reduces after), the
 factorisation into reflections that certifies a matrix orthogonal, A^T A
 and Bareiss determinants all run over Z; a `Fraction` is formed only where
 an entry or determinant is handed out.  Inverses of orthogonal matrices are
@@ -137,19 +138,7 @@ class RatMatrix(Frozen):
             return NotImplemented
         if self.n != other.n:
             raise BadShape(f"size mismatch: {self.n} vs {other.n}")
-        rhs, n = other.num, self.n
-        cols = None
-        out = []
-        for row in self.num:
-            if row.count(0) == n - 1:
-                # one nonzero a, at column k = row.index(a): this row is a * rhs[k]
-                a = sum(row)
-                r = rhs[row.index(a)]
-                out.append(r if a == 1 else tuple([a * x for x in r]))
-            else:
-                cols = cols or [*zip(*rhs)]
-                out.append(tuple([sum(map(mul, row, col)) for col in cols]))
-        num = tuple(out)
+        num = integer_product(self.num, other.num)
         den = self.den * other.den
         if den != 1:
             g = math.gcd(den, *chain.from_iterable(num))
@@ -198,6 +187,25 @@ class RatMatrix(Frozen):
         return True
 
 
+def integer_product(lhs: tuple, rhs: tuple) -> tuple:
+    """The product of two n x n integer tables, as a table of tuples, not
+    reduced.  Zero entries are skipped row by row: a row of lhs whose one
+    nonzero is a, at column k = row.index(a), is a times row k of rhs, with
+    no dot products; every other row takes dot products with the columns."""
+    n = len(rhs)
+    cols = None
+    out = []
+    for row in lhs:
+        if row.count(0) == n - 1:
+            a = sum(row)
+            r = rhs[row.index(a)]
+            out.append(r if a == 1 else tuple([a * x for x in r]))
+        else:
+            cols = cols or [*zip(*rhs)]
+            out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+    return tuple(out)
+
+
 def reflection_vectors(a: RatMatrix) -> list[list[int]]:
     """The at most n primitive integer vectors whose reflections multiply to
     a, in order (Cartan-Dieudonne): an even number exactly when det(a) = +1,
@@ -205,11 +213,14 @@ def reflection_vectors(a: RatMatrix) -> list[list[int]]:
     For each i the remaining matrix sends e_i to v, which must be 0 above
     row i and of norm 1; if v != e_i, reflect along v - e_i, which fixes
     e_0, ..., e_(i-1).  Reflections keep inner products, so the checks make
-    the columns of a orthonormal, and the reflections reduce a to I."""
-    den = a.den
+    the columns of a orthonormal, and the reflections reduce a to I.  Each
+    column keeps its own denominator, and a column orthogonal to the
+    reflection vector is left as it is."""
     cols = [list(col) for col in zip(*a.num)]
+    dens = [a.den] * a.n
     vectors = []
     for i, w in enumerate(cols):
+        den = dens[i]
         if any(w[:i]) or sum(map(mul, w, w)) != den * den:
             raise NotOrthogonal("matrix is not orthogonal")
         # den * (v - e_i) over Z; reflections are scale-free
@@ -219,12 +230,15 @@ def reflection_vectors(a: RatMatrix) -> list[list[int]]:
         content = math.gcd(*w)
         u = [x // content for x in w]
         vectors.append(u)
-        uu = sum(x * x for x in u)
-        for col in cols[i + 1 :]:
-            # uu * (x - 2 (u.x) u / uu), so the denominator becomes den * uu
-            t = 2 * sum(map(mul, u, col))
-            col[:] = [uu * x - t * y for x, y in zip(col, u)]
-        den *= uu
+        uu = sum(map(mul, u, u))
+        for j in range(i + 1, a.n):
+            col = cols[j]
+            t = sum(map(mul, u, col))
+            if t:
+                # uu * (x - 2 (u.x) u / uu), so the denominator becomes den_j * uu
+                t += t
+                cols[j] = [uu * x - t * y for x, y in zip(col, u)]
+                dens[j] *= uu
     return vectors
 
 
@@ -238,7 +252,8 @@ def component(a: RatMatrix) -> OrthComponent:
 
 
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """A B A^-1 B^-1 for orthogonal A, B (inverses taken as transposes)."""
+    """A B A^-1 B^-1 for orthogonal A, B (inverses taken as transposes).
+    Certification decides the relation without it; the tests compare with it."""
     if a.n != b.n:
         raise BadShape(f"size mismatch: {a.n} vs {b.n}")
     return a * b * a.transpose() * b.transpose()

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from enum import Enum
 from functools import reduce
+from itertools import chain
 from operator import mul
 
 # clifford and linalg are reached at call time, so the class enumeration of
@@ -64,6 +65,8 @@ class InvariantClass(Frozen):
             raise InvalidClass("mu1 must have even length 2g with g >= 2")
         if any(type(bit) is not int or bit not in (0, 1) for bit in mu1):
             raise InvalidClass("mu1 entries must be bits")
+        if not isinstance(mu2, Mu2Value):
+            raise InvalidClass(f"mu2 must be a Mu2Value, got {mu2!r}")
         if mu2 == Mu2Value.ONE and any(mu1):
             raise InvalidClass("mu2 = 1 is only permitted when mu1 = 0")
         object.__setattr__(self, "mu1", mu1)
@@ -80,15 +83,16 @@ class InvariantClass(Frozen):
 class SurfaceRep(Frozen):
     """Genus g >= 2 representation into PO(n), 4 <= n <= MAX_DIM even, by O(n) lifts.
 
-    Construction factors each generator into reflections once, which
-    certifies it orthogonal and gives its component and its Pin(n) lift, and
-    checks the surface relation (commutator product equal to +-I).  These
-    are kept, so every invariant reads them instead of recomputing them;
-    equality, hash and repr cover only genus, n and gens.
+    Construction factors each distinct generator into reflections once,
+    which certifies it orthogonal and gives its component and its Pin(n)
+    lift, checks the surface relation (commutator product equal to +-I) and
+    computes the invariant class.  These are kept, so every invariant reads
+    them instead of recomputing them; equality, hash and repr cover only
+    genus, n and gens.
     """
 
     _fields = ("genus", "n", "gens")
-    __slots__ = (*_fields, "reflections", "relation_sign")
+    __slots__ = (*_fields, "reflections", "relation_sign", "invariant_class")
 
     def __init__(self, genus: int, n: int, gens: Sequence[linalg.RatMatrix]):
         object.__setattr__(self, "genus", genus)
@@ -97,8 +101,9 @@ class SurfaceRep(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        """Certify the generators and the surface relation.  The name is the
-        one the benchmark's tracer wraps as its certification span."""
+        """Certify the generators and the surface relation, and compute the
+        invariant class.  The name is the one the benchmark's tracer wraps as
+        its certification span."""
         # before any arithmetic: 2.0 == 2, and a bool is an int
         if type(self.genus) is not int or type(self.n) is not int:
             raise linalg.BadShape(f"genus and n must be ints, got {self.genus!r} and {self.n!r}")
@@ -113,27 +118,56 @@ class SurfaceRep(Frozen):
             raise linalg.BadShape(
                 f"expected {2 * self.genus} generator matrices, got {len(gens)}"
             )
-        reflections = []
+        # a generator repeated in several slots is factored once
+        factored, reflections = {}, []
         for k, m in enumerate(gens):
+            # before hashing: a list of lists is unhashable
+            if not isinstance(m, linalg.RatMatrix):
+                raise linalg.BadShape(f"generator {generator_label(k)} is not a RatMatrix")
             if m.n != self.n:
                 raise linalg.BadShape(f"generator {generator_label(k)} is not {self.n}x{self.n}")
-            try:
-                reflections.append(linalg.reflection_vectors(m))
-            except linalg.NotOrthogonal:
-                label = generator_label(k)
-                raise linalg.NotOrthogonal(f"generator {label} is not orthogonal") from None
-        product = reduce(mul, (linalg.commutator(a, b) for a, b in zip(gens[::2], gens[1::2])))
-        # the generators are certified orthogonal, so the product is: an integer
-        # diagonal entry +-1 forces its column to be +-e_i, so one sign gives +-I
-        diagonal = {row[i] for i, row in enumerate(product.num)} if product.den == 1 else None
-        if diagonal == {1}:
-            sign = RelationSign.PLUS_I
-        elif diagonal == {-1}:
-            sign = RelationSign.MINUS_I
+            vectors = factored.get(m)
+            if vectors is None:
+                try:
+                    vectors = factored[m] = linalg.reflection_vectors(m)
+                except linalg.NotOrthogonal:
+                    label = generator_label(k)
+                    raise linalg.NotOrthogonal(f"generator {label} is not orthogonal") from None
+            reflections.append(vectors)
+        reflections = tuple(reflections)
+        sign = _relation_sign(gens, self.n)
+        mu1 = tuple([len(v) % 2 for v in reflections])
+        if any(mu1):
+            mu2 = Mu2Value.OMEGA if sign == RelationSign.MINUS_I else Mu2Value.ZERO
         else:
-            raise RelationViolated("commutator product of the generators is not +-I")
-        object.__setattr__(self, "reflections", tuple(reflections))
+            # the spinor route never reads the relation sign
+            mu2 = _KERNEL_TO_MU2[clifford.spinor_commutator(self.n, reflections).name]
+        object.__setattr__(self, "reflections", reflections)
         object.__setattr__(self, "relation_sign", sign)
+        object.__setattr__(self, "invariant_class", InvariantClass(mu1, mu2))
+
+
+def _relation_sign(gens: tuple, n: int) -> RelationSign:
+    """Which of +-I the commutator product of the orthogonal generators is,
+    decided by a trace.  The 4g factors A_1, B_1, A_1^T, B_1^T, ... are taken
+    as integer tables; L and R, the unreduced products of the first and of
+    the last 2g, give the product P = LR / D, with D the product of
+    (den_A den_B)^2 over the handles.  P is in O(n), so |P_ii| <= 1, and
+    tr P = +-n exactly when P = +-I: the trace of LR is compared with +-nD."""
+    factors = []
+    scale = 1
+    for a, b in zip(gens[::2], gens[1::2]):
+        factors += (a.num, b.num, tuple([*zip(*a.num)]), tuple([*zip(*b.num)]))
+        scale *= (a.den * b.den) ** 2
+    half = len(factors) // 2
+    left = reduce(linalg.integer_product, factors[:half])
+    right = reduce(linalg.integer_product, factors[half:])
+    trace = sum(map(mul, chain.from_iterable(left), chain.from_iterable(zip(*right))))
+    if trace == n * scale:
+        return RelationSign.PLUS_I
+    if trace == -n * scale:
+        return RelationSign.MINUS_I
+    raise RelationViolated("commutator product of the generators is not +-I")
 
 
 def delta2(rep: SurfaceRep) -> RelationSign:
@@ -148,7 +182,7 @@ def delta2(rep: SurfaceRep) -> RelationSign:
 def delta1(rep: SurfaceRep) -> tuple[int, ...]:
     """Component vector: bit k is set iff generator k lies outside SO(n),
     that is, iff it factors into an odd number of reflections."""
-    return tuple([len(v) % 2 for v in rep.reflections])
+    return rep.invariant_class.mu1
 
 
 # keyed by clifford.KernelElement member name
@@ -166,19 +200,16 @@ def tilde_delta(rep: SurfaceRep) -> Mu2Value:
 
     Each generator is lifted as the product of its reflection vectors, and
     their commutator product in the Lipschitz group is applied to one
-    spinor mod p.  The relation sign is not read, so delta2 and this
+    spinor mod p, once, when the representation is certified; this reads
+    the result.  The relation sign is not read, so delta2 and this
     obstruction stay two independent routes.
     """
     if any(delta1(rep)):
         raise Delta1NotZero("tilde_delta requires every generator in SO(n)")
-    return _KERNEL_TO_MU2[clifford.spinor_commutator(rep.n, rep.reflections).name]
+    return rep.invariant_class.mu2
 
 
 def invariants(rep: SurfaceRep) -> InvariantClass:
-    """The full invariant class (mu1, mu2) of the representation."""
-    mu1 = delta1(rep)
-    if any(mu1):
-        mu2 = Mu2Value.OMEGA if delta2(rep) == RelationSign.MINUS_I else Mu2Value.ZERO
-    else:
-        mu2 = tilde_delta(rep)
-    return InvariantClass(mu1, mu2)
+    """The full invariant class (mu1, mu2) of the representation, computed
+    once, when it was certified."""
+    return rep.invariant_class

@@ -19,6 +19,7 @@ from pglrep.linalg import (
     as_fraction,
     commutator,
     component,
+    integer_product,
     reflection_vectors,
 )
 
@@ -272,6 +273,11 @@ def test_product_kernel_matches_fraction_reference(data, n):
     b = data.draw(mixed_tables(n))
     product = RatMatrix(a) * RatMatrix(b)
     assert as_lists(product) == ref_mul(a, b)
+    # the unreduced kernel, over the product of the two denominators
+    ma, mb = RatMatrix(a), RatMatrix(b)
+    den = ma.den * mb.den
+    unreduced = integer_product(ma.num, mb.num)
+    assert [[Fraction(x, den) for x in row] for row in unreduced] == ref_mul(a, b)
     assert_lowest_terms(product)
     rebuilt = RatMatrix(ref_mul(a, b))
     assert product == rebuilt and hash(product) == hash(rebuilt)
@@ -295,3 +301,66 @@ def test_products_reduce_to_the_same_storage(data, n):
     back = a * q * q.transpose()
     assert back == a and hash(back) == hash(a)
     assert (back.num, back.den) == (a.num, a.den)
+
+
+# ---------------------------------------------------------------------------
+# reflection_vectors against the single-denominator factorisation
+# ---------------------------------------------------------------------------
+
+
+def single_denominator_reflection_vectors(a):
+    """The factorisation with one denominator for all the remaining columns,
+    every later column reflected at every step: the oracle for the
+    per-column version, which must give the same vectors and accept and
+    reject the same matrices."""
+    den = a.den
+    cols = [list(col) for col in zip(*a.num)]
+    vectors = []
+    for i, w in enumerate(cols):
+        if any(w[:i]) or sum(map(mul, w, w)) != den * den:
+            raise NotOrthogonal("matrix is not orthogonal")
+        w[i] -= den
+        if not any(w):
+            continue
+        content = math.gcd(*w)
+        u = [x // content for x in w]
+        vectors.append(u)
+        uu = sum(x * x for x in u)
+        for col in cols[i + 1 :]:
+            t = 2 * sum(map(mul, u, col))
+            col[:] = [uu * x - t * y for x, y in zip(col, u)]
+        den *= uu
+    return vectors
+
+
+@st.composite
+def oracle_inputs(draw, n):
+    """Dense, signed-permutation or block-diagonal orthogonal matrices."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    kind = draw(st.sampled_from(("dense", "signed-permutation", "block-diagonal")))
+    if kind == "dense":
+        return randmat.random_orthogonal(rng, n, rotations=2 * n)
+    if kind == "signed-permutation":
+        return randmat.random_orthogonal(rng, n, rotations=0)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, n - sum(sizes)))
+    return RatMatrix.block_diag(*(randmat.random_orthogonal(rng, k, rotations=k) for k in sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=8))
+def test_reflection_vectors_match_the_single_denominator_oracle(data, n):
+    a = data.draw(oracle_inputs(n))
+    assert reflection_vectors(a) == single_denominator_reflection_vectors(a)
+    # one entry moved by q != -2 a_ij changes the norm of its column
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    q = data.draw(randmat.nonzero_fractions.filter(lambda q: q != -2 * a.entry(i, j)))
+    rows = as_lists(a)
+    rows[i][j] += q
+    perturbed = RatMatrix(rows)
+    for factor in (reflection_vectors, single_denominator_reflection_vectors):
+        with pytest.raises(NotOrthogonal):
+            factor(perturbed)

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from functools import reduce
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pglrep import clifford
+from pglrep import clifford, linalg
 from pglrep.clifford import (
     _SPINOR_PRIME,
     CliffordElement,
@@ -30,6 +36,8 @@ from pglrep.surfrep import (
 )
 
 import randmat
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 I4 = RatMatrix.identity(4)
@@ -60,10 +68,21 @@ class TestConstruction:
             with pytest.raises(BadShape, match="4 <= n <= 16"):
                 SurfaceRep(2, 18, gens)
 
-    @pytest.mark.parametrize("genus,n", [(2.0, 4), (2, 4.0), (True, 4), (2, True)])
-    def test_genus_and_n_must_be_ints(self, genus, n):
-        with pytest.raises(BadShape, match="must be ints"):
-            SurfaceRep(genus, n, (I4,) * 4)
+    @pytest.mark.parametrize(
+        "genus,n,gens,match",
+        [
+            *(
+                pytest.param(genus, n, (I4,) * 4, "must be ints", id=f"{genus}-{n}")
+                for genus, n in [(2.0, 4), (2, 4.0), (True, 4), (2, True)]
+            ),
+            # a table is not a RatMatrix, and a list of lists is not even hashable
+            pytest.param(2, 4, (I4, [[1, 0, 0, 0]] * 4, I4, I4), "generator B1 is not a RatMatrix",
+                         id="list-generator"),
+        ],
+    )
+    def test_genus_and_n_must_be_ints(self, genus, n, gens, match):
+        with pytest.raises(BadShape, match=match):
+            SurfaceRep(genus, n, gens)
 
     def test_generator_count(self):
         with pytest.raises(BadShape, match="expected 4 generator matrices"):
@@ -166,6 +185,14 @@ class TestInvariants:
 
     def test_reflection_commuting_pair(self):
         assert invariants(rep(Y4, YP4)) == InvariantClass((1, 1, 0, 0), Mu2Value.ZERO)
+
+    @pytest.mark.parametrize("mu2", ["1", "omega", 0, None])
+    def test_mu2_must_be_a_mu2_value(self, mu2):
+        # a string "1" would get round the rule that mu2 = 1 needs mu1 = 0
+        with pytest.raises(InvalidClass, match="Mu2Value"):
+            InvariantClass((1, 0, 0, 0), mu2)
+        with pytest.raises(InvalidClass, match="Mu2Value"):
+            InvariantClass((0, 0, 0, 0), mu2)
 
     def test_invalid_class_combination_rejected(self):
         with pytest.raises(InvalidClass):
@@ -290,3 +317,137 @@ def test_spin_obstruction_when_a_reflection_norm_vanishes_mod_p(moduli, monkeypa
     b = RatMatrix.diagonal([-1, 1, -1, 1])
     assert tilde_delta(rep(a, b, r, r)) == Mu2Value.ONE
     assert tilde_delta(rep(r, r, a, b)) == Mu2Value.ONE
+
+
+# ---------------------------------------------------------------------------
+# the trace criterion against the commutator product, and work counts
+# ---------------------------------------------------------------------------
+
+
+def _oracle_sign(gens):
+    """+-I from the reduced product of the commutators, None for neither."""
+    product = reduce(mul, (commutator(a, b) for a, b in zip(gens[::2], gens[1::2])))
+    eye = RatMatrix.identity(product.n)
+    return {eye: RelationSign.PLUS_I, -eye: RelationSign.MINUS_I}.get(product)
+
+
+def _near_miss_handle(rng, n):
+    """A handle whose commutator is not +-I but has a trace close to +-n:
+    either one small rational plane rotation (two reflections whose mirrors
+    meet at a small angle phi, commutator the rotation by 4 phi), or the
+    mixed-sign diagonal diag(1, ..., 1, -1, -1), possibly negated by an
+    anti-commuting pair elsewhere."""
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(n), 2)
+        u = [0] * n
+        u[i], u[j] = rng.randint(5, 12), rng.choice((1, -1))
+        return [RatMatrix.diagonal([-1 if k == i else 1 for k in range(n)]), randmat.householder(u)]
+    swap = [[int(r == c) for c in range(n)] for r in range(n)]
+    swap[n - 2][n - 2] = swap[n - 1][n - 1] = 0
+    swap[n - 2][n - 1] = swap[n - 1][n - 2] = 1
+    return [RatMatrix.diagonal([1] * (n - 1) + [-1]), RatMatrix(swap)]
+
+
+def _random_handle(rng, n):
+    kind = rng.randrange(4)
+    if kind == 0:
+        # two unrelated orthogonal matrices: almost never a relation
+        a, b = randmat.random_orthogonal(rng, n), randmat.random_orthogonal(rng, n)
+    elif kind == 1:
+        q = randmat.random_orthogonal(rng, n)
+        a, b = q, q.transpose()
+    elif kind == 2:
+        a, b = build_representation(2, n, InvariantClass((0,) * 4, Mu2Value.OMEGA)).gens[:2]
+    else:
+        a, b = _near_miss_handle(rng, n)
+    p = randmat.random_orthogonal(rng, n)
+    return [p * a * p.transpose(), p * b * p.transpose()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.sampled_from((2, 3)),
+    n=st.sampled_from((4, 6, 8)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_relation_trace_agrees_with_the_commutator_product(g, n, seed):
+    rng = random.Random(seed)
+    gens = tuple(m for _ in range(g) for m in _random_handle(rng, n))
+    expected = _oracle_sign(gens)
+    if expected is None:
+        with pytest.raises(RelationViolated):
+            SurfaceRep(g, n, gens)
+    else:
+        assert SurfaceRep(g, n, gens).relation_sign == expected
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("anticommuting", [False, True], ids=["near-n", "near-minus-n"])
+def test_relation_violations_with_a_trace_close_to_n(n, anticommuting):
+    rng = random.Random(n)
+    first = _handle(rng, n, Mu2Value.OMEGA if anticommuting else Mu2Value.ZERO)
+    for near in (_near_miss_handle(random.Random(seed), n) for seed in range(4)):
+        gens = (*first, *near)
+        product = reduce(mul, (commutator(a, b) for a, b in zip(gens[::2], gens[1::2])))
+        trace = sum(product.entry(i, i) for i in range(n))
+        assert n - 4 <= (-trace if anticommuting else trace) < n
+        assert _oracle_sign(gens) is None
+        with pytest.raises(RelationViolated):
+            SurfaceRep(2, n, gens)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_distinct_generator_is_factored_once(monkeypatch):
+    calls = _counting(monkeypatch, linalg, "reflection_vectors")
+    q = randmat.random_orthogonal(random.Random(3), 4)
+    # X4 in three slots, an equal copy of Y4 and the identity padding twice
+    r = rep(X4, XP4, X4, XP4, RatMatrix(Y4.rows), Y4, X4, I4, g=5)
+    assert len(calls) == 4
+    assert r.reflections[0] is r.reflections[2] is r.reflections[6]
+    calls.clear()
+    SurfaceRep(2, 4, (q, q.transpose(), q.transpose(), q))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("target", [
+    InvariantClass((0, 0, 0, 0, 0, 0), mu2) for mu2 in Mu2Value
+] + [InvariantClass((1, 0, 0, 1, 0, 0), Mu2Value.OMEGA)], ids=lambda c: f"{c.mu1_string()}-{c.mu2.value}")
+def test_spin_obstruction_runs_once_per_representation(target, monkeypatch):
+    calls = _counting(monkeypatch, clifford, "spinor_commutator")
+    r = build_representation(3, 6, target)
+    assert invariants(r) == target
+    assert tilde_delta(r) == target.mu2 if target.mu1_is_zero else delta2(r)
+    assert len(calls) == (1 if target.mu1_is_zero else 0)
+
+
+def test_certify_timings_script():
+    # the per-stage profile of certification, run as shipped with one run per case
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "certify_timings.py"), "--repeats", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    title, header, *rows = done.stdout.splitlines()
+    assert title.startswith("best of 1 runs, ms per stage")
+    assert header.split() == ["case", "reps", "gens", "factored", "factor", "relation", "spin",
+                              "other", "construct", "total"]
+    assert len(rows) == 9
+    for row in rows:
+        kind, g, n, reps, gens, factored, *ms = row.split()
+        assert int(gens) == 2 * int(g) * int(reps) >= int(factored) > 0
+        assert len(ms) == 6 and all(float(x) >= -0.01 for x in ms)
+    # the alternating case holds two distinct generators in 64 slots
+    assert rows[-1].split()[:6] == ["alternating", "32", "16", "1", "64", "2"]
