@@ -46,7 +46,7 @@ _EXPORTS = {
         "tensor_by_line_bundle",
         "z0",
     ),
-    "construct": ("PairKind", "PairSpec", "build_representation", "catalogue_matrix", "pair_for"),
+    "construct": ("PairKind", "build_representation", "catalogue_matrix", "pair_for"),
     "linalg": ("OrthComponent", "RatMatrix", "commutator", "component", "reflection_vectors"),
     "poincare": ("IntPolynomial", "poly_divexact", "pt_sl3", "pt_so3"),
     "surfrep": (

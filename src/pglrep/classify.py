@@ -29,10 +29,6 @@ class BadInput(ValueError):
     """Arguments outside the supported range."""
 
 
-class ActionNotDescending(ValueError):
-    """The group action does not preserve the correction subgroup."""
-
-
 class TargetInvalidForClass(ValueError):
     """The lifting question is not defined for this class shape."""
 
@@ -81,17 +77,14 @@ class FinAbGroup(Frozen):
     def elements(self) -> Iterator[Element]:
         yield from itertools.product(*(range(k) for k in self.orders))
 
-    def generators(self) -> Iterator[Element]:
-        for i in range(len(self.orders)):
-            yield tuple(int(j == i) for j in range(len(self.orders)))
-
 
 class GroupAction(Frozen):
     """Action of pi_0 on pi_1 given by one endomorphism per pi_0 generator.
 
     generator_images[k][j] is the image in pi_1 of the j-th pi_1 generator
     under the k-th pi_0 generator.  Each map must be an automorphism whose
-    order divides the order of the acting generator.
+    order divides the order of the acting generator, and the maps must
+    commute, so that `apply` is an action of the abelian pi_0.
     """
 
     __slots__ = _fields = ("pi0", "pi1", "generator_images")
@@ -121,6 +114,11 @@ class GroupAction(Frozen):
                     w = self._apply_generator(k, w)
                 if w != v:
                     raise BadInput(f"pi0 generator {k} violates its order {order}")
+        for k, j in itertools.combinations(range(len(pi0.orders)), 2):
+            for v in pi1.elements():
+                kj = self._apply_generator(k, self._apply_generator(j, v))
+                if kj != self._apply_generator(j, self._apply_generator(k, v)):
+                    raise BadInput(f"pi0 generators {k} and {j} act by maps that do not commute")
 
     def _apply_generator(self, k: int, v: Element) -> Element:
         acc = [0] * len(self.pi1.orders)
@@ -173,16 +171,11 @@ def classify_bundles(action: GroupAction, mu1_image: Iterable[Element]) -> list[
 
     This is the exact range of the second invariant for bundles whose first
     invariant has the given image.  Representatives are the lexicographically
-    least coefficient vectors in each orbit, returned sorted.
+    least coefficient vectors in each orbit, returned sorted.  pi_0 preserves
+    Gamma, because its generators act by commuting automorphisms:
+    g.(v - h.v) = w - h.w for w = g.v.
     """
-    image = [action.pi0.reduce(g0) for g0 in mu1_image]
-    gamma = gamma_subgroup(action, image)
-    for g0 in action.pi0.generators():
-        for v in gamma:
-            if action.apply(g0, v) not in gamma:
-                raise ActionNotDescending(
-                    "the pi0 action does not preserve the correction subgroup"
-                )
+    gamma = gamma_subgroup(action, mu1_image)
 
     def coset_rep(v: Element) -> Element:
         return min(action.pi1.add(v, w) for w in gamma)
@@ -424,14 +417,18 @@ def tensor_by_line_bundle(
     For even rank w1 is unchanged and w2 picks up the cup product w1 . f1,
     evaluated through the standard symplectic pairing on the surface.
     """
+    _check_ints(rank=n)
     if n % 2 != 0:
         raise BadInput(f"rank must be even, got {n}")
+    w1, f1 = tuple(w1), tuple(f1)
     if len(w1) != len(f1) or len(w1) % 2 != 0:
         raise BadInput("w1 and f1 must have the same even length 2g")
+    if any(type(bit) is not int or bit not in (0, 1) for bit in (*w1, *f1, w2)):
+        raise BadInput(f"w1, f1 and w2 must be bits, got {w1}, {f1}, {w2!r}")
     pairing = 0
     for i in range(0, len(w1), 2):
         pairing += w1[i] * f1[i + 1] + w1[i + 1] * f1[i]
-    return tuple(int(b) % 2 for b in w1), (w2 + pairing) % 2
+    return w1, (w2 + pairing) % 2
 
 
 def moduli_dimension(n: int, g: int) -> int:

@@ -148,7 +148,7 @@ def _parse_mu1(text: str, genus: int | None = None) -> tuple[int, ...]:
     return bits
 
 
-# the values of surfrep.Mu2Value
+# the values of surfrep.Mu2Value, copied so that importing the CLI runs no layer
 _MU2_TOKENS = ("0", "1", "omega")
 
 
@@ -279,7 +279,7 @@ def cmd_bundle_classify(args) -> int:
 
     payload = {
         "n": args.n,
-        "pi1": "Z2 x Z2" if args.n % 4 == 0 else "Z4",
+        "pi1": " x ".join(f"Z{k}" for k in action.pi1.orders),
         "mu1_zero": not any(bits),
         "gamma": labels(classify.gamma_subgroup(action, image)),
         "classes": labels(classify.classify_bundles(action, image)),

@@ -1,9 +1,10 @@
 """Explicit matrix catalogue and constructors realising every invariant class.
 
 The catalogue consists of seven families of orthogonal matrices, each a
-block diagonal of 2x2 seeds.  Two lookup tables pick, for any requested
-pair of components, a commuting pair (commutator +I) or an anti-commuting
-pair (commutator -I); which family works depends on n mod 4.
+block diagonal of 2x2 seeds.  One lookup table per pair kind, keyed by the
+two mu1 bits of a handle, picks a commuting pair (commutator +I) or an
+anti-commuting pair (commutator -I).  At n = 2 mod 4 the anti-commuting
+families change component, so that table is read with both bits flipped.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .clifford import MAX_DIM
-from .frozen import Frozen
-from .linalg import OrthComponent, RatMatrix
+from .linalg import RatMatrix
 from .surfrep import InvalidClass, InvariantClass, Mu2Value, SurfaceRep, invariants
 
 
@@ -83,36 +83,17 @@ class PairKind(Enum):
     ANTICOMMUTING = "anticommuting"
 
 
-class PairSpec(Frozen):
-    """A requested pair: commutation behaviour plus the two O(n) components."""
-
-    __slots__ = _fields = ("kind", "components")
-
-    def __init__(self, kind: PairKind, components: Sequence[OrthComponent]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "components", tuple(components))
-
-
-# (first component, second component) -> catalogue family names.
-_COMMUTING = {
-    (OrthComponent.SO, OrthComponent.SO): ("I", "I"),
-    (OrthComponent.SO, OrthComponent.O_MINUS): ("I", "Y"),
-    (OrthComponent.O_MINUS, OrthComponent.SO): ("Y", "I"),
-    (OrthComponent.O_MINUS, OrthComponent.O_MINUS): ("Y", "Y'"),
-}
-
-_ANTICOMMUTING_MOD0 = {
-    (OrthComponent.SO, OrthComponent.SO): ("X", "X'"),
-    (OrthComponent.SO, OrthComponent.O_MINUS): ("X", "Z"),
-    (OrthComponent.O_MINUS, OrthComponent.SO): ("Z", "X"),
-    (OrthComponent.O_MINUS, OrthComponent.O_MINUS): ("W", "W'"),
-}
-
-_ANTICOMMUTING_MOD2 = {
-    (OrthComponent.SO, OrthComponent.SO): ("W", "W'"),
-    (OrthComponent.SO, OrthComponent.O_MINUS): ("Z", "X"),
-    (OrthComponent.O_MINUS, OrthComponent.SO): ("X", "Z"),
-    (OrthComponent.O_MINUS, OrthComponent.O_MINUS): ("X", "X'"),
+# kind -> (mu1 bit of the first matrix, of the second; 1 = outside SO(n)) ->
+# catalogue family names.  The anti-commuting pairs are listed for n = 0 mod 4:
+# det X_n = (-1)^(n/2), and likewise for X', Z, W and W', so at n = 2 mod 4
+# each of them lies in the other component.
+_PAIRS = {
+    PairKind.COMMUTING: {
+        (0, 0): ("I", "I"), (0, 1): ("I", "Y"), (1, 0): ("Y", "I"), (1, 1): ("Y", "Y'"),
+    },
+    PairKind.ANTICOMMUTING: {
+        (0, 0): ("X", "X'"), (0, 1): ("X", "Z"), (1, 0): ("Z", "X"), (1, 1): ("W", "W'"),
+    },
 }
 
 
@@ -120,18 +101,21 @@ def _named(name: str, n: int) -> RatMatrix:
     return _seed_diagonal(("I",) * (n // 2)) if name == "I" else catalogue_matrix(name, n)
 
 
-def pair_for(spec: PairSpec, n: int) -> tuple[RatMatrix, RatMatrix]:
-    """A catalogue pair with the requested components and commutator +-I."""
+def pair_for(kind: PairKind, bits: Sequence[int], n: int) -> tuple[RatMatrix, RatMatrix]:
+    """A catalogue pair with commutator +I (COMMUTING) or -I (ANTICOMMUTING)
+    whose two mu1 bits are `bits`, 1 meaning outside SO(n)."""
     _check_int(n, "n")
     if n % 2 != 0 or n < 4:
         raise BadDimension(f"pairs need even n >= 4, got {n}")
-    if spec.kind == PairKind.COMMUTING:
-        table = _COMMUTING
-    elif n % 4 == 0:
-        table = _ANTICOMMUTING_MOD0
-    else:
-        table = _ANTICOMMUTING_MOD2
-    first, second = table[spec.components]
+    if not isinstance(kind, PairKind):
+        raise ValueError(f"unknown pair kind {kind!r}")
+    # a bool or a float hashes like a bit, so only a type check keeps it out
+    if not isinstance(bits, Sequence) or len(bits) != 2 or any(
+        type(b) is not int or b not in (0, 1) for b in bits
+    ):
+        raise InvalidClass(f"a pair needs two mu1 bits, got {bits!r}")
+    flip = int(kind == PairKind.ANTICOMMUTING and n % 4 == 2)
+    first, second = _PAIRS[kind][bits[0] ^ flip, bits[1] ^ flip]
     return _named(first, n), _named(second, n)
 
 
@@ -141,10 +125,6 @@ def _spin_obstructed_pair(n: int) -> tuple[RatMatrix, RatMatrix]:
     first = [-1, -1] + [1] * (n - 2)
     second = [-1, 1, -1] + [1] * (n - 3)
     return RatMatrix.diagonal(first), RatMatrix.diagonal(second)
-
-
-def _bit_component(bit: int) -> OrthComponent:
-    return OrthComponent.O_MINUS if bit else OrthComponent.SO
 
 
 def build_representation(g: int, n: int, target: InvariantClass) -> SurfaceRep:
@@ -164,19 +144,13 @@ def build_representation(g: int, n: int, target: InvariantClass) -> SurfaceRep:
     if len(target.mu1) != 2 * g:
         raise InvalidClass(f"mu1 must have length {2 * g}, got {len(target.mu1)}")
     bits = target.mu1
-    gens: list[RatMatrix] = []
     if target.mu2 == Mu2Value.ONE:
-        gens.extend(_spin_obstructed_pair(n))
+        gens = list(_spin_obstructed_pair(n))
     else:
         kind = PairKind.ANTICOMMUTING if target.mu2 == Mu2Value.OMEGA else PairKind.COMMUTING
-        spec = PairSpec(kind, (_bit_component(bits[0]), _bit_component(bits[1])))
-        gens.extend(pair_for(spec, n))
-    for i in range(1, g):
-        spec = PairSpec(
-            PairKind.COMMUTING,
-            (_bit_component(bits[2 * i]), _bit_component(bits[2 * i + 1])),
-        )
-        gens.extend(pair_for(spec, n))
+        gens = list(pair_for(kind, bits[:2], n))
+    for i in range(2, 2 * g, 2):
+        gens.extend(pair_for(PairKind.COMMUTING, bits[i:i + 2], n))
     rep = SurfaceRep(g, n, tuple(gens))
     achieved = invariants(rep)
     if achieved != target:

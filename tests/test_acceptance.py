@@ -24,7 +24,6 @@ from pglrep.classify import (
 from pglrep.clifford import commutator_product, lift_orthogonal, twisted_conjugation_matrix
 from pglrep.construct import (
     PairKind,
-    PairSpec,
     build_representation,
     catalogue_matrix,
     pair_for,
@@ -152,9 +151,7 @@ def test_criterion_6_two_routes_to_the_second_invariant():
         for trial in range(100):
             g = rng.choice((2, 3))
             n = rng.choice((4, 6))
-            anticommuting = pair_for(
-                PairSpec(PairKind.ANTICOMMUTING, (OrthComponent.SO, OrthComponent.SO)), n
-            )
+            anticommuting = pair_for(PairKind.ANTICOMMUTING, (0, 0), n)
             diag_a = RatMatrix.diagonal([-1, -1] + [1] * (n - 2))
             diag_b = RatMatrix.diagonal([-1, 1, -1] + [1] * (n - 3))
             pool = [

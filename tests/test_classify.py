@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from pglrep.classify import (
     MAX_GENUS,
-    ActionNotDescending,
     BadInput,
     FinAbGroup,
     GroupAction,
@@ -94,6 +93,36 @@ class TestGroups:
         GroupAction(pi0, pi1, (((3,),),))
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: FinAbGroup((2, 4)).reduce((1,)), "wrong number of coordinates"),
+        (
+            lambda: GroupAction(FinAbGroup((2, 2)), FinAbGroup((4,)), (((3,),),)),
+            "one endomorphism per pi0 generator",
+        ),
+        (
+            lambda: GroupAction(FinAbGroup((2,)), FinAbGroup((2, 2)), (((1, 0),),)),
+            "one image per pi1 generator",
+        ),
+        # a 3-cycle of the nonzero elements of Z2 x Z2 cannot be a Z2 action
+        (
+            lambda: GroupAction(FinAbGroup((2,)), FinAbGroup((2, 2)), (((0, 1), (1, 1)),)),
+            "violates its order 2",
+        ),
+        (lambda: z0(5, 2), "n must be even"),
+        (
+            lambda: components_per_class(InvariantClass((0,) * 6, Mu2Value.ZERO), 4, 2),
+            "mu1 length 6, expected 4",
+        ),
+    ],
+    ids=["reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "mu1-length"],
+)
+def test_shape_and_range_errors(make, match):
+    with pytest.raises(BadInput, match=match):
+        make()
+
+
 class TestGammaSubgroup:
     def test_trivial_image_gives_trivial_subgroup(self):
         for n in (4, 6):
@@ -143,14 +172,29 @@ class TestClassifyBundles:
 
     def test_non_descending_input_detected(self):
         # two involutive automorphisms that do not commute: the "action" is
-        # not a group action, and the second generator fails to preserve the
-        # correction subgroup built from the first
+        # not an action of the abelian pi0, and the second generator would
+        # fail to preserve the correction subgroup built from the first
         pi0 = FinAbGroup((2, 2))
         pi1 = FinAbGroup((2, 2))
         swap_and_shear = ((((0, 1), (1, 0))), (((1, 0), (1, 1))))
-        action = GroupAction(pi0, pi1, swap_and_shear)
-        with pytest.raises(ActionNotDescending):
-            classify_bundles(action, [(1, 0)])
+        with pytest.raises(BadInput, match="do not commute"):
+            GroupAction(pi0, pi1, swap_and_shear)
+
+    def test_commuting_generators_preserve_gamma(self):
+        # swap and negation on Z4 x Z4 commute, so every pi0 element maps
+        # each correction subgroup onto itself
+        pi0 = FinAbGroup((2, 2))
+        pi1 = FinAbGroup((4, 4))
+        action = GroupAction(pi0, pi1, (((0, 1), (1, 0)), ((3, 0), (0, 3))))
+        for v in pi1.elements():
+            assert action.apply((1, 0), action.apply((0, 1), v)) == action.apply((1, 1), v)
+            assert action.apply((0, 1), action.apply((1, 0), v)) == action.apply((1, 1), v)
+        for image in ([(1, 0)], [(0, 1)], [(1, 1)], list(pi0.elements())):
+            gamma = gamma_subgroup(action, image)
+            for g0 in pi0.elements():
+                assert {action.apply(g0, v) for v in gamma} == gamma
+            reps = classify_bundles(action, image)
+            assert reps and reps == sorted(reps)
 
 
 class TestInvariantClasses:
@@ -304,6 +348,24 @@ class TestTensorByLineBundle:
 
     def test_self_pairing_vanishes(self):
         assert tensor_by_line_bundle((1, 0, 0, 0), 0, (1, 0, 0, 0), 4) == ((1, 0, 0, 0), 0)
+
+    @pytest.mark.parametrize(
+        "w1,w2,f1,n",
+        [
+            ((1, 0, 0, 0), 0, (0, 1, 0, 0), 4.0),
+            ((1, 0, 0, 0), 0, (0, 1, 0, 0), True),
+            ((2, 0, 0, 0), 1, (0, 3, 0, 0), 4),
+            ((1, 0, 0, 0), 2, (0, 1, 0, 0), 4),
+            ((True, 0, 0, 0), 0, (0, 1, 0, 0), 4),
+            ((1, 0, 0, 0), 0, (0, 1.0, 0, 0), 4),
+            ((1, 0, 0, 0), False, (0, 1, 0, 0), 4),
+        ],
+        ids=["float-rank", "bool-rank", "w1-and-f1-not-bits", "w2-not-a-bit",
+             "bool-in-w1", "float-in-f1", "bool-w2"],
+    )
+    def test_rank_must_be_an_int_and_classes_bits(self, w1, w2, f1, n):
+        with pytest.raises(BadInput):
+            tensor_by_line_bundle(w1, w2, f1, n)
 
     @settings(max_examples=50, deadline=None)
     @given(

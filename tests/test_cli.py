@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pglrep.cli import MAX_FILE_GENUS, main, read_rep_file, write_rep_file
+from pglrep.cli import _MU2_TOKENS, MAX_FILE_GENUS, main, read_rep_file, write_rep_file
 from pglrep.poincare import MAX_GENUS as POINCARE_MAX_GENUS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -638,3 +638,10 @@ class TestGolden:
         out_path = tmp_path / name
         write_rep_file(str(out_path), read_rep_file(str(FIXTURES / name)))
         assert out_path.read_bytes() == (FIXTURES / name).read_bytes()
+
+
+def test_mu2_tokens_are_the_mu2_values():
+    # the CLI keeps its own copy so that its import loads no layer
+    from pglrep.surfrep import Mu2Value
+
+    assert _MU2_TOKENS == tuple(value.value for value in Mu2Value)

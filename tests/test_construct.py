@@ -10,7 +10,6 @@ from pglrep.classify import invariant_classes
 from pglrep.construct import (
     BadDimension,
     PairKind,
-    PairSpec,
     build_representation,
     catalogue_matrix,
     pair_for,
@@ -87,30 +86,44 @@ def test_catalogue_commutation_facts():
         assert commutator(catalogue_matrix("W", n), catalogue_matrix("W'", n)) == -i_n
 
 
+# (kind, mu1 bits) -> the families pair_for picks at n = 4 and at n = 6: the
+# anti-commuting pairs change component at n = 2 mod 4
+PAIR_FAMILIES = {
+    (PairKind.COMMUTING, (0, 0)): (("I", "I"), ("I", "I")),
+    (PairKind.COMMUTING, (0, 1)): (("I", "Y"), ("I", "Y")),
+    (PairKind.COMMUTING, (1, 0)): (("Y", "I"), ("Y", "I")),
+    (PairKind.COMMUTING, (1, 1)): (("Y", "Y'"), ("Y", "Y'")),
+    (PairKind.ANTICOMMUTING, (0, 0)): (("X", "X'"), ("W", "W'")),
+    (PairKind.ANTICOMMUTING, (0, 1)): (("X", "Z"), ("Z", "X")),
+    (PairKind.ANTICOMMUTING, (1, 0)): (("Z", "X"), ("X", "Z")),
+    (PairKind.ANTICOMMUTING, (1, 1)): (("W", "W'"), ("X", "X'")),
+}
+
+
 class TestPairFor:
     def test_commuting_mixed_pair_uses_identity(self):
         for n in (4, 6, 8):
-            a, b = pair_for(PairSpec(PairKind.COMMUTING, (SO, OM)), n)
+            a, b = pair_for(PairKind.COMMUTING, (0, 1), n)
             assert a == RatMatrix.identity(n)
             assert b == catalogue_matrix("Y", n)
 
     def test_components_may_be_a_list(self):
-        spec = PairSpec(PairKind.COMMUTING, [SO, OM])
-        assert pair_for(spec, 4) == pair_for(PairSpec(PairKind.COMMUTING, (SO, OM)), 4)
+        assert pair_for(PairKind.COMMUTING, [0, 1], 4) == pair_for(PairKind.COMMUTING, (0, 1), 4)
 
     def test_anticommuting_rotations_mod0(self):
-        a, b = pair_for(PairSpec(PairKind.ANTICOMMUTING, (SO, SO)), 4)
+        a, b = pair_for(PairKind.ANTICOMMUTING, (0, 0), 4)
         assert (a, b) == (catalogue_matrix("X", 4), catalogue_matrix("X'", 4))
 
     def test_anticommuting_reflections_mod2(self):
-        a, b = pair_for(PairSpec(PairKind.ANTICOMMUTING, (OM, OM)), 6)
+        a, b = pair_for(PairKind.ANTICOMMUTING, (1, 1), 6)
         assert (a, b) == (catalogue_matrix("X", 6), catalogue_matrix("X'", 6))
 
     def test_every_pair_has_requested_components_and_sign(self):
         for n in (4, 6):
             for kind in PairKind:
-                for comps in itertools.product((SO, OM), repeat=2):
-                    a, b = pair_for(PairSpec(kind, comps), n)
+                for bits in itertools.product((0, 1), repeat=2):
+                    a, b = pair_for(kind, bits, n)
+                    comps = tuple(OM if bit else SO for bit in bits)
                     assert (component(a), component(b)) == comps
                     expected = RatMatrix.identity(n)
                     if kind == PairKind.ANTICOMMUTING:
@@ -119,13 +132,31 @@ class TestPairFor:
 
     def test_dimension_checked(self):
         with pytest.raises(BadDimension):
-            pair_for(PairSpec(PairKind.COMMUTING, (SO, SO)), 2)
+            pair_for(PairKind.COMMUTING, (0, 0), 2)
 
     def test_identity_is_memoised(self):
-        a, b = pair_for(PairSpec(PairKind.COMMUTING, (SO, SO)), 6)
+        a, b = pair_for(PairKind.COMMUTING, (0, 0), 6)
         assert a is b == RatMatrix.identity(6)
         with pytest.raises(BadDimension, match="must be an int"):
-            pair_for(PairSpec(PairKind.COMMUTING, (SO, SO)), 6.0)
+            pair_for(PairKind.COMMUTING, (0, 0), 6.0)
+
+    @pytest.mark.parametrize("kind,bits", list(PAIR_FAMILIES))
+    def test_families_picked_at_n4_and_n6(self, kind, bits):
+        for n, names in zip((4, 6), PAIR_FAMILIES[kind, bits]):
+            expected = tuple(
+                RatMatrix.identity(n) if name == "I" else catalogue_matrix(name, n)
+                for name in names
+            )
+            assert pair_for(kind, bits, n) == expected
+
+    def test_kind_must_be_a_pair_kind(self):
+        with pytest.raises(ValueError, match="unknown pair kind"):
+            pair_for("commuting", (0, 0), 4)
+
+    @pytest.mark.parametrize("bits", [(SO, SO), (True, 0), (0, 1, 0), (2, 0), (0.0, 1), 1, "01"])
+    def test_bits_must_be_two_int_bits(self, bits):
+        with pytest.raises(InvalidClass, match="two mu1 bits"):
+            pair_for(PairKind.COMMUTING, bits, 4)
 
 
 class TestBuildRepresentation:
@@ -169,13 +200,23 @@ class TestBuildRepresentation:
             assert invariants(rep) == target
 
 
-def test_realize_all_classes_script():
-    # the construct harness of the README, run as shipped
+def _run_script(name):
+    # a script of the README, run as shipped
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "realize_all_classes.py")],
+        [sys.executable, str(ROOT / "scripts" / name)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+def test_realize_all_classes_script():
+    lines = _run_script("realize_all_classes.py")
     assert len(lines) == 5 and all("realized and verified" in line for line in lines)
+
+
+def test_component_tables_script():
+    lines = [line.strip() for line in _run_script("component_tables.py")]
+    for g, w2 in ((2, 1), (2, 0), (3, 1), (3, 0)):
+        assert any(line.startswith(f"g={g} w2={w2}: ") for line in lines), (g, w2)

@@ -42,7 +42,7 @@ EXPORTS = {
         "gamma_subgroup", "invariant_classes", "lifts_to", "moduli_dimension", "po_bundle_data",
         "project_twisted", "tensor_by_line_bundle", "z0",
     ),
-    "construct": ("PairKind", "PairSpec", "build_representation", "catalogue_matrix", "pair_for"),
+    "construct": ("PairKind", "build_representation", "catalogue_matrix", "pair_for"),
     "linalg": ("OrthComponent", "RatMatrix", "commutator", "component", "reflection_vectors"),
     "poincare": ("IntPolynomial", "poly_divexact", "pt_sl3", "pt_so3"),
     "surfrep": (

@@ -99,6 +99,21 @@ def test_commutator_size_mismatch():
         commutator(RatMatrix.identity(2), RatMatrix.identity(3))
 
 
+@pytest.mark.parametrize(
+    "make,error,match",
+    [
+        (lambda: RatMatrix.identity(2) * RatMatrix.identity(3), BadShape, "size mismatch: 2 vs 3"),
+        (lambda: as_fraction(0.5), TypeError, "not an exact rational"),
+        (lambda: as_fraction(True), TypeError, "not an exact rational"),
+        (lambda: as_fraction(None), TypeError, "not an exact rational"),
+    ],
+    ids=["matmul-size", "float", "bool", "none"],
+)
+def test_mismatched_sizes_and_non_rationals_rejected(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
 def test_pickle_round_trip():
     m = RatMatrix([["3/5", "-4/5"], ["4/5", "3/5"]])
     assert pickle.loads(pickle.dumps(m)) == m

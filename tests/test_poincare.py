@@ -20,6 +20,11 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             IntPolynomial(coeffs)
 
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_negative_powers_rejected(self, k):
+        with pytest.raises(ValueError, match="negative powers"):
+            IntPolynomial((1, 1)) ** k
+
     def test_binomial_square(self):
         one_plus_t = IntPolynomial((1, 1))
         assert one_plus_t**2 == IntPolynomial((1, 2, 1))

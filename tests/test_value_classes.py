@@ -14,14 +14,12 @@ import pytest
 import pglrep
 from pglrep.classify import ComponentReport, FinAbGroup, GroupAction, TwistedClass
 from pglrep.clifford import CliffordElement
-from pglrep.construct import PairKind, PairSpec
-from pglrep.linalg import OrthComponent, RatMatrix
+from pglrep.linalg import RatMatrix
 from pglrep.poincare import IntPolynomial
 from pglrep.surfrep import InvariantClass, Mu2Value, RelationSign, SurfaceRep
 
 I4 = RatMatrix.identity(4)
 D4 = RatMatrix.diagonal([-1, -1, 1, 1])
-SO, OM = OrthComponent.SO, OrthComponent.O_MINUS
 
 
 def _group_action(image):
@@ -74,14 +72,6 @@ CASES = {
         "ComponentReport(deg=1, entries=((TwistedClass(mu1bar=(1, 0, 0, 0), deg=1,"
         " w2=None), 1, 1),))",
         ("deg", "entries"),
-    ),
-    "PairSpec": (
-        lambda: PairSpec(PairKind.COMMUTING, (SO, OM)),
-        lambda: PairSpec(PairKind.COMMUTING, [SO, OM]),
-        lambda: PairSpec(PairKind.ANTICOMMUTING, (SO, OM)),
-        "PairSpec(kind=<PairKind.COMMUTING: 'commuting'>,"
-        " components=(<OrthComponent.SO: 'SO'>, <OrthComponent.O_MINUS: 'O-'>))",
-        ("kind", "components"),
     ),
     "RatMatrix": (
         lambda: RatMatrix([["3/5", "-4/5"], ["4/5", "3/5"]]),
