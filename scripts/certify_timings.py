@@ -3,14 +3,17 @@
 
 `SurfaceRep` certifies a representation once, when it is built: it factors
 each distinct generator into reflections (`linalg.reflection_vectors`),
-decides the relation sign by the trace of two half-products
-(`surfrep._relation_sign`) and, when mu1 = 0, the spin obstruction
-(`clifford.spinor_commutator`).  For the duration of a run this script
-wraps those three functions and `SurfaceRep.__post_init__` with timers, and
-prints for each case the milliseconds spent in each stage: `factor`,
-`relation`, `spin`, `other` (the rest of certification: argument checks,
-hashing the generators, transposes) and `construct` (the time of
-`build_representation` outside certification).  A row is the repeat with
+decides the relation sign (`surfrep._relation_sign`) by the trace of the
+product of the handle commutators, each taken from a memo of the last 64
+handles (`surfrep._handle_commutator`), and, when mu1 = 0, the spin
+obstruction (`clifford.spinor_commutator`).  For the duration of a run this
+script wraps those three functions and `SurfaceRep.__post_init__` with
+timers, and prints for each case the number of factorisations and of
+commutators computed (memo misses) and the milliseconds spent in each
+stage: `factor`, `relation`, `spin`, `other` (the rest of certification:
+argument checks, hashing the generators) and `construct` (the time of
+`build_representation` outside certification).  The memo is emptied before
+each repeat, so every repeat certifies cold, and a row is the repeat with
 the least total, out of k.
 
 The cases:
@@ -21,8 +24,9 @@ The cases:
   handle a catalogue pair of class 0, 1 or omega conjugated by its own
   random rational orthogonal matrix;
 * `alternating g n`: dense A and B in the handles (A, B), (B, A), (A, B),
-  ..., so the relation holds while no commutator cancels on its own; it
-  bounds the unreduced relation products, whose entries grow with g.
+  ..., so the relation holds while no commutator cancels on its own: two
+  distinct commutators in 32 handles, whose reduced partial products
+  alternate between [A, B] and I.
 
 The seed is fixed, so every run times the same matrices.  Standard library
 only; a few seconds on a 2 vCPU host.  Run from the root of a checkout:
@@ -126,9 +130,11 @@ def stage_timers(spent, calls):
 
 
 def run_once(jobs):
-    """Seconds per stage of one pass over the jobs, and the factorisations."""
+    """Seconds per stage of one pass over the jobs from a cold memo, the
+    factorisations and the commutators computed."""
     spent = dict.fromkeys(("factor", "relation", "spin", "certify"), 0.0)
     calls = dict.fromkeys(spent, 0)
+    surfrep._handle_commutator.cache_clear()
     with stage_timers(spent, calls):
         start = time.perf_counter()
         for make, args in jobs:
@@ -141,7 +147,7 @@ def run_once(jobs):
         "other": spent["certify"] - spent["factor"] - spent["relation"] - spent["spin"],
         "construct": total - spent["certify"],
     }
-    return total, split, calls["factor"]
+    return total, split, calls["factor"], surfrep._handle_commutator.cache_info().misses
 
 
 def main() -> None:
@@ -152,17 +158,18 @@ def main() -> None:
         parser.error("--repeats must be at least 1")
     rng = random.Random(SEED)
     print(f"best of {repeats} runs, ms per stage, Python {sys.version.split()[0]}")
-    print(f"{'case':<18} {'reps':>4} {'gens':>5} {'factored':>8} "
+    print(f"{'case':<18} {'reps':>4} {'gens':>5} {'factored':>8} {'commutators':>11} "
           + " ".join(f"{s:>9}" for s in (*STAGES, "total")))
     for label, g, n, make in CASES:
         if make is None:
             jobs = [(build_representation, (g, n, target)) for target in invariant_classes(g, n)]
         else:
             jobs = [make(rng, g, n)]
-        total, split, factored = min((run_once(jobs) for _ in range(repeats)), key=lambda r: r[0])
+        runs = [run_once(jobs) for _ in range(repeats)]
+        total, split, factored, commutators = min(runs, key=lambda r: r[0])
         row = " ".join(f"{1000 * split[s]:9.2f}" for s in STAGES)
-        print(f"{label:<18} {len(jobs):>4} {2 * g * len(jobs):>5} {factored:>8} {row} {1000 * total:9.2f}",
-              flush=True)
+        print(f"{label:<18} {len(jobs):>4} {2 * g * len(jobs):>5} {factored:>8} {commutators:>11} {row} "
+              f"{1000 * total:9.2f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -63,7 +63,10 @@ class FinAbGroup(Frozen):
     def reduce(self, v: Sequence[int]) -> Element:
         if len(v) != len(self.orders):
             raise BadInput("element has the wrong number of coordinates")
-        return tuple(x % k for x, k in zip(v, self.orders))
+        # True % 2 and 2.5 % 4 both work, so only a type check keeps them out
+        if any(type(x) is not int for x in v):
+            raise BadInput(f"element coordinates must be ints, got {tuple(v)!r}")
+        return tuple([x % k for x, k in zip(v, self.orders)])
 
     def add(self, a: Element, b: Element) -> Element:
         return self.reduce([x + y for x, y in zip(a, b)])

@@ -141,6 +141,8 @@ def build_representation(g: int, n: int, target: InvariantClass) -> SurfaceRep:
     _check_int(n, "n")
     if n % 2 != 0 or not 4 <= n <= MAX_DIM:
         raise BadDimension(f"representations need even n with 4 <= n <= {MAX_DIM}, got {n}")
+    if not isinstance(target, InvariantClass):
+        raise InvalidClass(f"target must be an InvariantClass, got {target!r}")
     if len(target.mu1) != 2 * g:
         raise InvalidClass(f"mu1 must have length {2 * g}, got {len(target.mu1)}")
     bits = target.mu1

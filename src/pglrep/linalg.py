@@ -3,11 +3,12 @@
 A matrix is stored as a table of Python integers `num` over one positive
 common denominator `den`, kept in lowest terms (the gcd of `den` and every
 numerator is 1), so equal matrices have equal storage.  Products (one
-kernel, `integer_product`, which `RatMatrix.__mul__` reduces after), the
-factorisation into reflections that certifies a matrix orthogonal, A^T A
-and Bareiss determinants all run over Z; a `Fraction` is formed only where
-an entry or determinant is handed out.  Inverses of orthogonal matrices are
-taken as transposes; a general inverse is deliberately not provided.
+kernel, `integer_product`, which `RatMatrix.__mul__` reduces after with
+`lowest_terms`), the factorisation into reflections that certifies a
+matrix orthogonal, A^T A and Bareiss determinants all run over Z; a
+`Fraction` is formed only where an entry or determinant is handed out.
+Inverses of orthogonal matrices are taken as transposes; a general inverse
+is deliberately not provided.
 
 Hot-path tuples are built from lists: that is faster than from a generator,
 whose shrunk results CPython's tuple free lists would keep once freed.
@@ -138,14 +139,7 @@ class RatMatrix(Frozen):
             return NotImplemented
         if self.n != other.n:
             raise BadShape(f"size mismatch: {self.n} vs {other.n}")
-        num = integer_product(self.num, other.num)
-        den = self.den * other.den
-        if den != 1:
-            g = math.gcd(den, *chain.from_iterable(num))
-            if g != 1:
-                num = tuple(tuple(x // g for x in row) for row in num)
-                den //= g
-        return RatMatrix._of(num, den)
+        return RatMatrix._of(*lowest_terms(integer_product(self.num, other.num), self.den * other.den))
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix._of(tuple(tuple(-x for x in row) for row in self.num), self.den)
@@ -204,6 +198,16 @@ def integer_product(lhs: tuple, rhs: tuple) -> tuple:
             cols = cols or [*zip(*rhs)]
             out.append(tuple([sum(map(mul, row, col)) for col in cols]))
     return tuple(out)
+
+
+def lowest_terms(num: tuple, den: int) -> tuple[tuple, int]:
+    """The integer table num over den divided by their gcd, with one gcd
+    pass over the entries, none when den = 1."""
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            return tuple(tuple([x // g for x in row]) for row in num), den // g
+    return num, den
 
 
 def reflection_vectors(a: RatMatrix) -> list[list[int]]:

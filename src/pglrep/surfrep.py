@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from enum import Enum
-from functools import reduce
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 
@@ -149,25 +149,39 @@ class SurfaceRep(Frozen):
 
 def _relation_sign(gens: tuple, n: int) -> RelationSign:
     """Which of +-I the commutator product of the orthogonal generators is,
-    decided by a trace.  The 4g factors A_1, B_1, A_1^T, B_1^T, ... are taken
-    as integer tables; L and R, the unreduced products of the first and of
-    the last 2g, give the product P = LR / D, with D the product of
-    (den_A den_B)^2 over the handles.  P is in O(n), so |P_ii| <= 1, and
-    tr P = +-n exactly when P = +-I: the trace of LR is compared with +-nD."""
-    factors = []
-    scale = 1
-    for a, b in zip(gens[::2], gens[1::2]):
-        factors += (a.num, b.num, tuple([*zip(*a.num)]), tuple([*zip(*b.num)]))
-        scale *= (a.den * b.den) ** 2
-    half = len(factors) // 2
-    left = reduce(linalg.integer_product, factors[:half])
-    right = reduce(linalg.integer_product, factors[half:])
-    trace = sum(map(mul, chain.from_iterable(left), chain.from_iterable(zip(*right))))
-    if trace == n * scale:
+    decided by a trace.  The handle commutators C_1, ..., C_g come from
+    `_handle_commutator` as integer tables over their denominators; P, the
+    product of the first g - 1, is reduced to lowest terms after each
+    product.  P C_g is in O(n), so |(P C_g)_ii| <= 1, and it is +-I exactly
+    when its trace is +-n: the trace of the two tables' product is compared
+    with +-n times their denominators.  Every generator must be certified
+    orthogonal first; then each partial product is orthogonal too, and its
+    reduced entries are bounded by its denominator."""
+    tables = [_handle_commutator(a.num, a.den, b.num, b.den) for a, b in zip(gens[::2], gens[1::2])]
+    num, den = tables[0]
+    for c_num, c_den in tables[1:-1]:
+        num, den = linalg.lowest_terms(linalg.integer_product(num, c_num), den * c_den)
+    last, last_den = tables[-1]
+    trace = sum(map(mul, chain.from_iterable(num), chain.from_iterable(zip(*last))))
+    scale = n * den * last_den
+    if trace == scale:
         return RelationSign.PLUS_I
-    if trace == -n * scale:
+    if trace == -scale:
         return RelationSign.MINUS_I
     raise RelationViolated("commutator product of the generators is not +-I")
+
+
+# bounded, like construct._seed_diagonal: the catalogue has 9 distinct
+# handles per n (4 commuting, 4 anti-commuting, the spin pair), so 64 holds
+# the 63 of the even n from 4 to 16.  Keyed by value; it holds tuples only.
+@lru_cache(maxsize=64)
+def _handle_commutator(a: tuple, a_den: int, b: tuple, b_den: int) -> tuple[tuple, int]:
+    """A B A^T B^T for the orthogonal A = a / a_den and B = b / b_den, as an
+    integer table over (a_den b_den)^2, not reduced: it is reduced where it
+    is multiplied."""
+    product = linalg.integer_product
+    table = product(product(product(a, b), tuple([*zip(*a)])), tuple([*zip(*b)]))
+    return table, (a_den * b_den) ** 2
 
 
 def delta2(rep: SurfaceRep) -> RelationSign:

@@ -36,6 +36,10 @@ Z = (0, 0, 0, 0)
     [
         lambda: FinAbGroup((2.0, 3)),
         lambda: FinAbGroup((2, True)),
+        lambda: FinAbGroup((2, 4)).reduce((True, 2.5)),
+        lambda: FinAbGroup((2, 4)).reduce((1, 2.0)),
+        lambda: GroupAction(FinAbGroup((2,)), FinAbGroup((4,)), (((3.0,),),)),
+        lambda: GroupAction(FinAbGroup((2,)), FinAbGroup((4,)), (((3,),),)).apply((True,), (1,)),
         lambda: TwistedClass(Z, 0.0, 1),
         lambda: TwistedClass((1, 0, 0, 0), True),
         lambda: component_count(4, 2.0),

@@ -188,6 +188,14 @@ class TestBuildRepresentation:
         with pytest.raises(InvalidClass):
             build_representation(3, 4, InvariantClass((0, 0, 0, 0), Mu2Value.ZERO))
 
+    @pytest.mark.parametrize(
+        "target", [((0, 0, 0, 0), "0"), ((0, 0, 0, 0), Mu2Value.ZERO), None, "0000"],
+        ids=["tuple", "tuple-of-mu2", "none", "string"],
+    )
+    def test_target_must_be_an_invariant_class(self, target):
+        with pytest.raises(InvalidClass, match="must be an InvariantClass"):
+            build_representation(2, 4, target)
+
     @pytest.mark.parametrize("g,n", [(2.0, 4), (2, 4.0), (True, 4), (2, False)])
     def test_genus_and_n_must_be_ints(self, g, n):
         with pytest.raises(BadDimension, match="must be an int"):

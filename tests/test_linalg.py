@@ -20,6 +20,7 @@ from pglrep.linalg import (
     commutator,
     component,
     integer_product,
+    lowest_terms,
     reflection_vectors,
 )
 
@@ -296,6 +297,15 @@ def test_product_kernel_matches_fraction_reference(data, n):
     assert_lowest_terms(product)
     rebuilt = RatMatrix(ref_mul(a, b))
     assert product == rebuilt and hash(product) == hash(rebuilt)
+
+
+def test_lowest_terms():
+    table = ((2, 4), (-6, 8))
+    assert lowest_terms(table, 2) == (((1, 2), (-3, 4)), 1)
+    assert lowest_terms(table, 6) == (((1, 2), (-3, 4)), 3)
+    # den = 1, or no common factor: the table itself comes back
+    assert lowest_terms(table, 1)[0] is table
+    assert lowest_terms(table, 3) == (table, 3) and lowest_terms(table, 3)[0] is table
 
 
 def test_equal_values_with_different_denominators():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pglrep import clifford, linalg
+from pglrep import clifford, linalg, surfrep
 from pglrep.clifford import (
     _SPINOR_PRIME,
     CliffordElement,
@@ -331,6 +331,27 @@ def _oracle_sign(gens):
     return {eye: RelationSign.PLUS_I, -eye: RelationSign.MINUS_I}.get(product)
 
 
+def _certified_sign(gens):
+    """The relation sign certification finds, None for RelationViolated."""
+    try:
+        return SurfaceRep(len(gens) // 2, gens[0].n, gens).relation_sign
+    except RelationViolated:
+        return None
+
+
+def _memo():
+    return surfrep._handle_commutator.cache_info()
+
+
+def _assert_sign_cold_and_warm(gens, expected):
+    # cold, then warm: the second certification reads every commutator from the memo
+    surfrep._handle_commutator.cache_clear()
+    assert _certified_sign(gens) == expected
+    misses = _memo().misses
+    assert _certified_sign(gens) == expected
+    assert _memo().misses == misses
+
+
 def _near_miss_handle(rng, n):
     """A handle whose commutator is not +-I but has a trace close to +-n:
     either one small rational plane rotation (two reflections whose mirrors
@@ -373,12 +394,7 @@ def _random_handle(rng, n):
 def test_relation_trace_agrees_with_the_commutator_product(g, n, seed):
     rng = random.Random(seed)
     gens = tuple(m for _ in range(g) for m in _random_handle(rng, n))
-    expected = _oracle_sign(gens)
-    if expected is None:
-        with pytest.raises(RelationViolated):
-            SurfaceRep(g, n, gens)
-    else:
-        assert SurfaceRep(g, n, gens).relation_sign == expected
+    _assert_sign_cold_and_warm(gens, _oracle_sign(gens))
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -392,8 +408,61 @@ def test_relation_violations_with_a_trace_close_to_n(n, anticommuting):
         trace = sum(product.entry(i, i) for i in range(n))
         assert n - 4 <= (-trace if anticommuting else trace) < n
         assert _oracle_sign(gens) is None
+        _assert_sign_cold_and_warm(gens, None)
+
+
+class TestCommutatorMemo:
+    def test_bound(self):
+        assert _memo().maxsize == 64
+
+    def test_keyed_by_value(self):
+        surfrep._handle_commutator.cache_clear()
+        # the handles (X4, XP4) and (I, I), then equal copies of both
+        assert delta2(rep(X4, XP4)) == RelationSign.MINUS_I
+        assert (_memo().misses, _memo().hits) == (2, 0)
+        assert delta2(rep(RatMatrix(X4.rows), RatMatrix(XP4.rows))) == RelationSign.MINUS_I
+        assert (_memo().misses, _memo().hits) == (2, 2)
+
+    def test_the_order_of_a_handle_is_part_of_the_key(self):
+        rng = random.Random(7)
+        a, b = randmat.random_orthogonal(rng, 4), randmat.random_orthogonal(rng, 4)
+        surfrep._handle_commutator.cache_clear()
+        # [A, B][B, A] = I, and the memo then holds both orders
+        assert SurfaceRep(2, 4, (a, b, b, a)).relation_sign == RelationSign.PLUS_I
+        assert _oracle_sign((a, b, a, b)) is None
         with pytest.raises(RelationViolated):
-            SurfaceRep(2, n, gens)
+            SurfaceRep(2, 4, (a, b, a, b))
+        assert (_memo().misses, _memo().hits) == (2, 2)
+
+    def test_more_distinct_handles_than_the_bound(self):
+        rng = random.Random(11)
+        classes = [rng.choice((Mu2Value.ZERO, Mu2Value.OMEGA)) for _ in range(70)]
+        gens = tuple(m for mu2 in classes for m in _handle(rng, 4, mu2))
+        expected = RelationSign.MINUS_I if classes.count(Mu2Value.OMEGA) % 2 else RelationSign.PLUS_I
+        assert _oracle_sign(gens) == expected
+        surfrep._handle_commutator.cache_clear()
+        assert _certified_sign(gens) == expected
+        assert (_memo().currsize, _memo().misses) == (64, 70)
+        # read in a cycle longer than the memo, every handle was evicted before its turn
+        assert _certified_sign(gens) == expected
+        assert (_memo().currsize, _memo().misses, _memo().hits) == (64, 140, 0)
+
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["den-1", "den-not-1"])
+    def test_each_product_is_reduced_once(self, conjugated, monkeypatch):
+        # commutators -I, I, -I: one product before the trace
+        gens = (X4, XP4, Y4, YP4, XP4, X4)
+        if conjugated:
+            p = randmat.random_orthogonal(random.Random(13), 4)
+            gens = tuple(p * m * p.transpose() for m in gens)
+        assert _oracle_sign(gens) == RelationSign.PLUS_I
+        surfrep._handle_commutator.cache_clear()
+        calls = _counting(monkeypatch, linalg, "lowest_terms")
+        assert SurfaceRep(3, 4, gens).relation_sign == RelationSign.PLUS_I
+        assert len(calls) == 1
+        table, den = calls[0]
+        assert (den != 1) == conjugated
+        # the partial product is -I times I, whatever its denominator
+        assert linalg.lowest_terms(table, den) == ((-RatMatrix.identity(4)).num, 1)
 
 
 def _counting(monkeypatch, module, name):
@@ -443,12 +512,14 @@ def test_certify_timings_script():
     assert done.returncode == 0, done.stderr
     title, header, *rows = done.stdout.splitlines()
     assert title.startswith("best of 1 runs, ms per stage")
-    assert header.split() == ["case", "reps", "gens", "factored", "factor", "relation", "spin",
-                              "other", "construct", "total"]
+    assert header.split() == ["case", "reps", "gens", "factored", "commutators", "factor", "relation",
+                              "spin", "other", "construct", "total"]
     assert len(rows) == 9
     for row in rows:
-        kind, g, n, reps, gens, factored, *ms = row.split()
+        kind, g, n, reps, gens, factored, commutators, *ms = row.split()
         assert int(gens) == 2 * int(g) * int(reps) >= int(factored) > 0
+        # memo misses, counted from an empty memo
+        assert 0 < int(commutators) <= int(reps) * int(g)
         assert len(ms) == 6 and all(float(x) >= -0.01 for x in ms)
-    # the alternating case holds two distinct generators in 64 slots
-    assert rows[-1].split()[:6] == ["alternating", "32", "16", "1", "64", "2"]
+    # the alternating case holds two distinct generators in 64 slots and two distinct handles
+    assert rows[-1].split()[:7] == ["alternating", "32", "16", "1", "64", "2", "2"]
