@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 
 from .frozen import Frozen
-from .surfrep import InvariantClass, Mu2Value
+from .surfrep import InvariantClass, Mu2Value, check_genus, check_ints, even_n
 
 MAX_GROUP_SIZE = 1 << 16
 
@@ -203,9 +203,8 @@ def po_bundle_data(n: int) -> GroupAction:
     a.[-1] + b.[omega]) and Z_4 generated by omega when n = 2 mod 4.  The
     orientation-reversing component acts by omega -> -omega.
     """
-    _check_ints(n=n)
-    if n < 4 or n % 2 != 0:
-        raise BadInput(f"n must be even and >= 4, got {n}")
+    check_ints(BadInput, n=n)
+    _check_n(n)
     pi0 = FinAbGroup((2,))
     if n % 4 == 0:
         pi1 = FinAbGroup((2, 2))
@@ -227,21 +226,15 @@ def _zero_mu1(g: int) -> tuple[int, ...]:
     return (0,) * (2 * g)
 
 
-def _check_ints(**values: object) -> None:
-    # 2.0 == 2 and True == 1: only a type check tells these from valid input
-    for name, value in values.items():
-        if type(value) is not int:
-            raise BadInput(f"{name} must be an int, got {value!r}")
+def _check_n(n: int) -> None:
+    if not even_n(n, None):  # no matrix is built, so n has no cap
+        raise BadInput(f"n must be even and >= 4, got {n}")
 
 
 def _check_g_n(g: int, n: int) -> None:
-    _check_ints(genus=g, n=n)
-    if g < 2:
-        raise BadInput(f"genus must be >= 2, got {g}")
-    if g > MAX_GENUS:
-        raise BadInput(f"genus {g} exceeds the supported maximum {MAX_GENUS}")
-    if n < 4 or n % 2 != 0:
-        raise BadInput(f"n must be even and >= 4, got {n}")
+    check_ints(BadInput, genus=g, n=n)
+    check_genus(BadInput, g, MAX_GENUS)
+    _check_n(n)
 
 
 def invariant_classes(g: int, n: int) -> list[InvariantClass]:
@@ -287,7 +280,7 @@ def lifts_to(cls: InvariantClass, target: LiftTarget) -> bool:
 
 def z0(n: int, g: int) -> int:
     """(g - 1) n^2 / 4 mod 2: the split-class second Stiefel-Whitney value."""
-    _check_ints(n=n, genus=g)
+    check_ints(BadInput, n=n, genus=g)
     if n % 2 != 0:
         raise BadInput(f"n must be even, got {n}")
     return ((g - 1) * n * n // 4) % 2
@@ -420,7 +413,7 @@ def tensor_by_line_bundle(
     For even rank w1 is unchanged and w2 picks up the cup product w1 . f1,
     evaluated through the standard symplectic pairing on the surface.
     """
-    _check_ints(rank=n)
+    check_ints(BadInput, rank=n)
     if n % 2 != 0:
         raise BadInput(f"rank must be even, got {n}")
     w1, f1 = tuple(w1), tuple(f1)
@@ -436,7 +429,7 @@ def tensor_by_line_bundle(
 
 def moduli_dimension(n: int, g: int) -> int:
     """Complex dimension 2 n^2 (g - 1) + 2 of the ambient Higgs moduli space."""
-    _check_ints(n=n, genus=g)
+    check_ints(BadInput, n=n, genus=g)
     if n < 1 or g < 2:
         raise BadInput(f"need n >= 1 and g >= 2, got n={n}, g={g}")
     return 2 * n * n * (g - 1) + 2

@@ -4,8 +4,8 @@ Representation files are JSON documents with keys n, genus and generators;
 matrix entries are integers or exact "p/q" strings (floats are rejected, the
 boundary stays exact).  Exit codes: 1 parse error, bad arguments or an
 output file that cannot be written, 2 a generator is not orthogonal, 3 the
-surface relation fails, 4 an invalid invariant class was requested.  Library
-errors reach an exit code only through the table _ERRORS, read by main.
+surface relation fails, 4 an invalid invariant class was requested.  Errors
+reach an exit code only through the table _ERRORS, read by main.
 
 Each command runs the library layers it uses and no other: nothing here
 reads a layer attribute at import time, and the package registers its
@@ -33,17 +33,14 @@ EXIT_INVALID_CLASS = 4
 MAX_FILE_GENUS = 32
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+class CliError(ValueError):
+    """A parse or usage error whose message carries its own prefix."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the documented code is 1
     def error(self, message):
-        raise CliError(EXIT_PARSE, f"{self.prog}: error: {message}")
+        raise CliError(f"{self.prog}: error: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _entry_to_fraction(value: object, where: str):
     if isinstance(value, bool):
-        raise CliError(EXIT_PARSE, f"parse error: boolean entry in {where}")
+        raise CliError(f"parse error: boolean entry in {where}")
     if not isinstance(value, (int, str)):
-        raise CliError(
-            EXIT_PARSE, f"parse error: entry in {where} must be an integer or 'p/q' string"
-        )
+        raise CliError(f"parse error: entry in {where} must be an integer or 'p/q' string")
     try:
         return linalg.as_fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise CliError(EXIT_PARSE, f"parse error: bad rational {value!r} in {where}") from None
+        raise CliError(f"parse error: bad rational {value!r} in {where}") from None
 
 
 def _fraction_to_entry(value) -> int | str:
@@ -73,37 +68,31 @@ def read_rep_file(path: str) -> surfrep.SurfaceRep:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CliError(EXIT_PARSE, f"parse error: cannot read {path}: {exc}")
+        raise CliError(f"parse error: cannot read {path}: {exc}")
     except (ValueError, RecursionError) as exc:
         # also bad UTF-8, integers past the digit limit and deep nesting
-        raise CliError(EXIT_PARSE, f"parse error: {path} is not valid JSON: {exc}")
+        raise CliError(f"parse error: {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise CliError(EXIT_PARSE, "parse error: top-level document must be an object")
+        raise CliError("parse error: top-level document must be an object")
     n, genus, generators = (doc.get(key) for key in ("n", "genus", "generators"))
     # bool is a subclass of int; a float such as 4.5 is refused, not truncated
     if "generators" not in doc or any(
         not isinstance(v, int) or isinstance(v, bool) for v in (n, genus)
     ):
-        raise CliError(EXIT_PARSE, "parse error: need integer keys n, genus and a generators array")
+        raise CliError("parse error: need integer keys n, genus and a generators array")
     if n > clifford.MAX_DIM:
-        raise CliError(
-            EXIT_PARSE, f"parse error: n = {n} exceeds the supported maximum {clifford.MAX_DIM}"
-        )
+        raise CliError(f"parse error: n = {n} exceeds the supported maximum {clifford.MAX_DIM}")
     if genus > MAX_FILE_GENUS:
-        raise CliError(
-            EXIT_PARSE, f"parse error: genus = {genus} exceeds the supported maximum {MAX_FILE_GENUS}"
-        )
+        raise CliError(f"parse error: genus = {genus} exceeds the supported maximum {MAX_FILE_GENUS}")
     if not isinstance(generators, list) or len(generators) != 2 * genus:
-        raise CliError(
-            EXIT_PARSE, f"parse error: expected {2 * genus} generator matrices"
-        )
+        raise CliError(f"parse error: expected {2 * genus} generator matrices")
     matrices = []
     for k, rows in enumerate(generators):
         label = surfrep.generator_label(k)
         if not isinstance(rows, list) or len(rows) != n or any(
             not isinstance(row, list) or len(row) != n for row in rows
         ):
-            raise CliError(EXIT_PARSE, f"parse error: generator {label} is not {n}x{n}")
+            raise CliError(f"parse error: generator {label} is not {n}x{n}")
         matrices.append(
             linalg.RatMatrix(
                 [[_entry_to_fraction(x, f"generator {label}") for x in row] for row in rows]
@@ -347,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 # and name so that no layer runs just to name its errors.  The row of the
 # first class in the exception's MRO wins, so the most specific row does.
 _ERRORS = {
+    # under python -m pglrep.cli this module, and so the key, is __main__'s
+    f"{__name__}.CliError": (EXIT_PARSE, ""),
     "pglrep.linalg.NotOrthogonal": (EXIT_NOT_ORTHOGONAL, "not orthogonal: "),
     "pglrep.surfrep.RelationViolated": (EXIT_RELATION, "relation violated: "),
     "pglrep.surfrep.InvalidClass": (EXIT_INVALID_CLASS, "invalid class: "),
@@ -362,9 +353,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
     except SystemExit as exc:  # --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0

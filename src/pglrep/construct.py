@@ -16,11 +16,11 @@ from functools import lru_cache
 from .clifford import MAX_DIM
 from .linalg import RatMatrix
 from .surfrep import InvalidClass, InvariantClass, Mu2Value, SurfaceRep, invariants
+from .surfrep import check_ints, even_n
 
 
 class BadDimension(ValueError):
-    """Catalogue matrices need even n (and n >= 4 for the W family), and a
-    representation needs even n with 4 <= n <= MAX_DIM."""
+    """n is outside the range of a catalogue matrix, a pair or a representation."""
 
 
 _SEEDS = {
@@ -46,12 +46,6 @@ _BLOCKS = {
 CATALOGUE_NAMES = tuple(_BLOCKS)
 
 
-def _check_int(value, what: str) -> None:
-    # before any arithmetic or cache lookup: 4.0 == 4, and a bool is an int
-    if type(value) is not int:
-        raise BadDimension(f"{what} must be an int, got {value!r}")
-
-
 def catalogue_matrix(name: str, n: int) -> RatMatrix:
     """The catalogue matrix of the given family in size n: a block diagonal
     of 2x2 seeds, its head blocks followed by copies of its tail block.
@@ -63,16 +57,17 @@ def catalogue_matrix(name: str, n: int) -> RatMatrix:
     """
     if name not in CATALOGUE_NAMES:
         raise ValueError(f"unknown catalogue family {name!r}")
-    _check_int(n, "n")
-    if n % 2 != 0 or n < 2:
-        raise BadDimension(f"catalogue matrices need even n >= 2, got {n}")
+    check_ints(BadDimension, n=n)
+    if n % 2 != 0 or not 2 <= n <= MAX_DIM:
+        need = "even n >= 2" if n <= MAX_DIM else f"n <= {MAX_DIM}"
+        raise BadDimension(f"catalogue matrices need {need}, got {n}")
     if name in ("W", "W'") and n < 4:
         raise BadDimension(f"family {name} needs n >= 4, got {n}")
     head, tail = _BLOCKS[name]
     return _seed_diagonal((*head, *[tail] * (n // 2 - len(head))))
 
 
-# bounded, so a huge n is not kept; 64 holds all seven families and I at every even n <= 16
+# every caller caps n at MAX_DIM first, so 64 holds all seven families and I at every even n
 @lru_cache(maxsize=64)
 def _seed_diagonal(blocks: tuple[str, ...]) -> RatMatrix:
     return RatMatrix.block_diag(*(_SEEDS[b] for b in blocks))
@@ -104,9 +99,10 @@ def _named(name: str, n: int) -> RatMatrix:
 def pair_for(kind: PairKind, bits: Sequence[int], n: int) -> tuple[RatMatrix, RatMatrix]:
     """A catalogue pair with commutator +I (COMMUTING) or -I (ANTICOMMUTING)
     whose two mu1 bits are `bits`, 1 meaning outside SO(n)."""
-    _check_int(n, "n")
-    if n % 2 != 0 or n < 4:
-        raise BadDimension(f"pairs need even n >= 4, got {n}")
+    check_ints(BadDimension, n=n)
+    if not even_n(n, MAX_DIM):
+        need = "even n >= 4" if n <= MAX_DIM else f"n <= {MAX_DIM}"
+        raise BadDimension(f"pairs need {need}, got {n}")
     if not isinstance(kind, PairKind):
         raise ValueError(f"unknown pair kind {kind!r}")
     # a bool or a float hashes like a bit, so only a type check keeps it out
@@ -114,6 +110,11 @@ def pair_for(kind: PairKind, bits: Sequence[int], n: int) -> tuple[RatMatrix, Ra
         type(b) is not int or b not in (0, 1) for b in bits
     ):
         raise InvalidClass(f"a pair needs two mu1 bits, got {bits!r}")
+    return _pair(kind, bits, n)
+
+
+def _pair(kind: PairKind, bits: Sequence[int], n: int) -> tuple[RatMatrix, RatMatrix]:
+    # pair_for with its arguments already checked
     flip = int(kind == PairKind.ANTICOMMUTING and n % 4 == 2)
     first, second = _PAIRS[kind][bits[0] ^ flip, bits[1] ^ flip]
     return _named(first, n), _named(second, n)
@@ -137,9 +138,8 @@ def build_representation(g: int, n: int, target: InvariantClass) -> SurfaceRep:
     obstruction is decided on a spinor of 2^(n/2) entries, so n is capped
     at MAX_DIM, the bound representation files keep too.
     """
-    _check_int(g, "genus")
-    _check_int(n, "n")
-    if n % 2 != 0 or not 4 <= n <= MAX_DIM:
+    check_ints(BadDimension, genus=g, n=n)
+    if not even_n(n, MAX_DIM):
         raise BadDimension(f"representations need even n with 4 <= n <= {MAX_DIM}, got {n}")
     if not isinstance(target, InvariantClass):
         raise InvalidClass(f"target must be an InvariantClass, got {target!r}")
@@ -150,9 +150,9 @@ def build_representation(g: int, n: int, target: InvariantClass) -> SurfaceRep:
         gens = list(_spin_obstructed_pair(n))
     else:
         kind = PairKind.ANTICOMMUTING if target.mu2 == Mu2Value.OMEGA else PairKind.COMMUTING
-        gens = list(pair_for(kind, bits[:2], n))
+        gens = list(_pair(kind, bits[:2], n))
     for i in range(2, 2 * g, 2):
-        gens.extend(pair_for(PairKind.COMMUTING, bits[i:i + 2], n))
+        gens.extend(_pair(PairKind.COMMUTING, bits[i:i + 2], n))
     rep = SurfaceRep(g, n, tuple(gens))
     achieved = invariants(rep)
     if achieved != target:

@@ -51,6 +51,27 @@ def generator_label(index: int) -> str:
     return f"{'A' if index % 2 == 0 else 'B'}{index // 2 + 1}"
 
 
+# 4.0 == 4 and True == 1, so only a type check tells them apart
+def check_ints(error: type[Exception], **values: object) -> None:
+    """Raise `error` naming the first of `values` that is not an int."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise error(f"{name} must be an int, got {value!r}")
+
+
+def check_genus(error: type[Exception], g: int, maximum: int | None = None) -> None:
+    """Raise `error` unless g >= 2, and g <= `maximum` unless that is None."""
+    if g < 2:
+        raise error(f"genus must be >= 2, got {g}")
+    if maximum is not None and g > maximum:
+        raise error(f"genus {g} exceeds the supported maximum {maximum}")
+
+
+def even_n(n: int, maximum: int | None) -> bool:
+    """Whether n is even and at least 4, and at most `maximum` unless that is None."""
+    return n % 2 == 0 and n >= 4 and (maximum is None or n <= maximum)
+
+
 class InvariantClass(Frozen):
     """Pair of topological invariants (mu1, mu2) of a projective bundle.
 
@@ -104,13 +125,11 @@ class SurfaceRep(Frozen):
         """Certify the generators and the surface relation, and compute the
         invariant class.  The name is the one the benchmark's tracer wraps as
         its certification span."""
-        # before any arithmetic: 2.0 == 2, and a bool is an int
         if type(self.genus) is not int or type(self.n) is not int:
             raise linalg.BadShape(f"genus and n must be ints, got {self.genus!r} and {self.n!r}")
-        if self.genus < 2:
-            raise linalg.BadShape(f"genus must be >= 2, got {self.genus}")
+        check_genus(linalg.BadShape, self.genus)
         # above MAX_DIM the spin obstruction cannot be computed
-        if self.n % 2 != 0 or not 4 <= self.n <= clifford.MAX_DIM:
+        if not even_n(self.n, clifford.MAX_DIM):
             raise linalg.BadShape(f"n must be even with 4 <= n <= {clifford.MAX_DIM}, got {self.n}")
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)

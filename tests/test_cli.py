@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -645,3 +648,28 @@ def test_mu2_tokens_are_the_mu2_values():
     from pglrep.surfrep import Mu2Value
 
     assert _MU2_TOKENS == tuple(value.value for value in Mu2Value)
+
+
+# every failure row of the golden file and one usage error, run the way the
+# benchmark runs the CLI: python -m pglrep.cli in a fresh interpreter, where
+# the module is __main__
+SUBPROCESS_FAILURES = [record for record in GOLDEN_RUNS if record["exit"] != 0] + [
+    {
+        "argv": ["classify", "--genus", "x"],
+        "exit": 1,
+        "stdout": "",
+        "stderr": "pglrep classify: error: argument --genus: invalid int value: 'x'\n",
+    },
+]
+
+
+@pytest.mark.parametrize("record", SUBPROCESS_FAILURES, ids=lambda r: " ".join(r["argv"]))
+def test_failure_output_under_python_m(record):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "pglrep.cli", *record["argv"]],
+        cwd=FIXTURES, env=env, capture_output=True, timeout=60,
+    )
+    expected = (record["exit"], record["stdout"].encode(), record["stderr"].encode())
+    assert (done.returncode, done.stdout, done.stderr) == expected

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from pglrep.classify import invariant_classes
+from pglrep.clifford import MAX_DIM
 from pglrep.construct import (
     BadDimension,
     PairKind,
+    _seed_diagonal,
     build_representation,
     catalogue_matrix,
     pair_for,
@@ -228,3 +230,24 @@ def test_component_tables_script():
     lines = [line.strip() for line in _run_script("component_tables.py")]
     for g, w2 in ((2, 1), (2, 0), (3, 1), (3, 0)):
         assert any(line.startswith(f"g={g} w2={w2}: ") for line in lines), (g, w2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: catalogue_matrix("X", n), lambda n: pair_for(PairKind.ANTICOMMUTING, (0, 0), n)],
+    ids=["catalogue_matrix", "pair_for"],
+)
+def test_n_above_max_dim_refused_before_the_cache(call):
+    before = _seed_diagonal.cache_info()
+    with pytest.raises(BadDimension, match=f"need n <= {MAX_DIM}, got {MAX_DIM + 2}"):
+        call(MAX_DIM + 2)
+    assert _seed_diagonal.cache_info() == before
+
+
+# what scripts/generator_digest.py prints for the catalogue as it stands:
+# a change to any generator of any class at its ten sizes changes it
+GENERATOR_DIGEST = "3e23b1fe65093c16bcdda92792e223b775f752915e1e785861af9939c07bad68"
+
+
+def test_generator_digest_script():
+    assert _run_script("generator_digest.py") == [GENERATOR_DIGEST]
