@@ -267,6 +267,8 @@ def lifts_to(cls: InvariantClass, target: LiftTarget) -> bool:
     over mu1 != 0 they are the orthogonal and pin lifts (equivalent to each
     other), decided by mu2 = 0.
     """
+    if not isinstance(cls, InvariantClass) or not isinstance(target, LiftTarget):
+        raise BadInput(f"need an InvariantClass and a LiftTarget, got {cls!r} and {target!r}")
     if cls.mu1_is_zero:
         if target == LiftTarget.SO:
             return cls.mu2 in (Mu2Value.ZERO, Mu2Value.ONE)
@@ -281,6 +283,7 @@ def lifts_to(cls: InvariantClass, target: LiftTarget) -> bool:
 def z0(n: int, g: int) -> int:
     """(g - 1) n^2 / 4 mod 2: the split-class second Stiefel-Whitney value."""
     check_ints(BadInput, n=n, genus=g)
+    check_genus(BadInput, g)
     if n % 2 != 0:
         raise BadInput(f"n must be even, got {n}")
     return ((g - 1) * n * n // 4) % 2
@@ -311,6 +314,8 @@ def components_per_class(cls: InvariantClass, n: int, g: int) -> int:
     recovers component_count.
     """
     _check_g_n(g, n)
+    if not isinstance(cls, InvariantClass):
+        raise BadInput(f"class must be an InvariantClass, got {cls!r}")
     if len(cls.mu1) != 2 * g:
         raise BadInput(f"class has mu1 length {len(cls.mu1)}, expected {2 * g}")
     if cls.mu1_is_zero and cls.mu2 == _z0_mu2(n, g):
@@ -347,6 +352,8 @@ def project_twisted(cls: TwistedClass) -> InvariantClass:
     Odd twist degree always projects to mu2 = omega; even degree projects to
     the w2 value over mu1 = 0 and to mu2 = 0 over mu1 != 0.
     """
+    if not isinstance(cls, TwistedClass):
+        raise BadInput(f"class must be a TwistedClass, got {cls!r}")
     if not any(cls.mu1bar):
         if cls.deg % 2 == 1:
             mu2 = Mu2Value.OMEGA

@@ -132,8 +132,8 @@ def _parse_mu1(text: str, genus: int | None = None) -> tuple[int, ...]:
     bits = tuple(int(c) for c in text)
     if genus is not None and len(bits) != 2 * genus:
         raise ValueError(f"mu1 must have length {2 * genus} for genus {genus}")
-    if genus is None and (len(bits) < 4 or len(bits) % 2 != 0):
-        raise ValueError("mu1 must have even length 2g with g >= 2")
+    if genus is None:
+        surfrep.check_mu1_length(ValueError, bits)
     return bits
 
 
@@ -180,6 +180,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    surfrep.check_genus(ValueError, args.genus)
     if args.genus > MAX_FILE_GENUS:
         raise ValueError(f"genus = {args.genus} exceeds the supported maximum {MAX_FILE_GENUS}")
     bits = _parse_mu1(args.mu1, args.genus)

@@ -66,6 +66,8 @@ class IntPolynomial(Frozen):
         return f"IntPolynomial({list(self.coeffs)})"
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -78,6 +80,8 @@ class IntPolynomial(Frozen):
         return IntPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -93,6 +97,8 @@ class IntPolynomial(Frozen):
         return IntPolynomial(out)
 
     def __pow__(self, k: int) -> "IntPolynomial":
+        if type(k) is not int:
+            raise TypeError(f"polynomial exponents must be ints, got {k!r}")
         if k < 0:
             raise ValueError("negative powers are not polynomials")
         result = IntPolynomial.one()
@@ -107,6 +113,8 @@ class IntPolynomial(Frozen):
 
 def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     """Quotient q with q * den = num exactly; NotDivisible otherwise."""
+    if not isinstance(num, IntPolynomial) or not isinstance(den, IntPolynomial):
+        raise TypeError(f"need two IntPolynomials, got {num!r} and {den!r}")
     if den.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(num.coeffs)

@@ -67,6 +67,12 @@ def check_genus(error: type[Exception], g: int, maximum: int | None = None) -> N
         raise error(f"genus {g} exceeds the supported maximum {maximum}")
 
 
+def check_mu1_length(error: type[Exception], mu1: Sequence[int]) -> None:
+    """Raise `error` unless mu1 has even length 2g with g >= 2."""
+    if len(mu1) < 4 or len(mu1) % 2 != 0:
+        raise error("mu1 must have even length 2g with g >= 2")
+
+
 def even_n(n: int, maximum: int | None) -> bool:
     """Whether n is even and at least 4, and at most `maximum` unless that is None."""
     return n % 2 == 0 and n >= 4 and (maximum is None or n <= maximum)
@@ -82,8 +88,7 @@ class InvariantClass(Frozen):
 
     def __init__(self, mu1: Sequence[int], mu2: Mu2Value):
         mu1 = tuple(mu1)
-        if len(mu1) < 4 or len(mu1) % 2 != 0:
-            raise InvalidClass("mu1 must have even length 2g with g >= 2")
+        check_mu1_length(InvalidClass, mu1)
         if any(type(bit) is not int or bit not in (0, 1) for bit in mu1):
             raise InvalidClass("mu1 entries must be bits")
         if not isinstance(mu2, Mu2Value):

@@ -119,8 +119,24 @@ class TestGroups:
             lambda: components_per_class(InvariantClass((0,) * 6, Mu2Value.ZERO), 4, 2),
             "mu1 length 6, expected 4",
         ),
+        (lambda: z0(4, 1), "genus must be >= 2, got 1"),
+        (lambda: z0(4, -3), "genus must be >= 2, got -3"),
+        (
+            lambda: lifts_to(InvariantClass(Z, Mu2Value.ZERO), "SO"),
+            "need an InvariantClass and a LiftTarget",
+        ),
+        (lambda: lifts_to(Z, LiftTarget.SO), "need an InvariantClass and a LiftTarget"),
+        (lambda: components_per_class(Z, 4, 2), "must be an InvariantClass"),
+        (
+            lambda: project_twisted(InvariantClass(Z, Mu2Value.ZERO)),
+            "must be a TwistedClass",
+        ),
     ],
-    ids=["reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "mu1-length"],
+    ids=[
+        "reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "mu1-length",
+        "z0-genus-1", "z0-genus-negative", "lifts-to-target-str", "lifts-to-class-tuple",
+        "per-class-tuple", "project-untwisted",
+    ],
 )
 def test_shape_and_range_errors(make, match):
     with pytest.raises(BadInput, match=match):

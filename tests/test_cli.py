@@ -357,6 +357,19 @@ class TestConstruct:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("genus", ["-5", "0", "1"])
+    def test_genus_below_two_exits_1_and_writes_nothing(self, capsys, tmp_path, genus):
+        # the genus was once checked only through the mu1 length: -5 asked for
+        # "length -10", and genus 1 with mu1 00 exited 4 as an invalid class
+        out_path = tmp_path / "x.json"
+        mu1 = "00" if genus == "1" else "0000"
+        code, out, err = run(
+            capsys, "construct", "--genus", genus, "--n", "4",
+            "--mu1", mu1, "--mu2", "0", "--out", str(out_path),
+        )
+        assert (code, out, err) == (1, "", f"error: genus must be >= 2, got {genus}\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "n,mu1,mu2",
         [("18", "0000", "0"), ("18", "1000", "0"), ("400", "1000", "0")],
@@ -490,6 +503,12 @@ class TestTables:
         assert code == 0
         assert "classes: 0 omega" in out
         assert "gamma: 0 1" in out
+
+    @pytest.mark.parametrize("argv", [("lift-check", "--mu2", "0"), ("bundle-classify", "--n", "4")])
+    def test_mu1_of_genus_below_two_exits_1(self, capsys, argv):
+        assert run(capsys, *argv, "--mu1", "00") == (
+            1, "", "error: mu1 must have even length 2g with g >= 2\n"
+        )
 
     def test_bad_arguments_exit_1(self, capsys):
         assert run(capsys, "classify", "--genus", "2")[0] == 1

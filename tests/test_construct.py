@@ -48,8 +48,10 @@ class TestCatalogueMatrix:
             catalogue_matrix("W", 2)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            catalogue_matrix("Q", 4)
+        # I, S and S' are memo entries that only the pair tables read
+        for name in ("Q", "I", "S", "S'"):
+            with pytest.raises(ValueError, match="unknown catalogue family"):
+                catalogue_matrix(name, 4)
 
     def test_memoised_value(self):
         x2, xp2 = RatMatrix([[0, 1], [1, 0]]), RatMatrix([[1, 0], [0, -1]])
@@ -185,6 +187,12 @@ class TestBuildRepresentation:
         assert invariants(rep) == target
         assert rep.gens[0] == RatMatrix.diagonal([-1, -1, 1, 1])
         assert rep.gens[1] == RatMatrix.diagonal([-1, 1, -1, 1])
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_spin_obstructed_pair_is_memoised(self, n):
+        target = InvariantClass((0, 0, 0, 0), Mu2Value.ONE)
+        first, again = (build_representation(2, n, target).gens for _ in range(2))
+        assert all(a is b for a, b in zip(first, again))
 
     def test_wrong_mu1_length(self):
         with pytest.raises(InvalidClass):

@@ -25,6 +25,24 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="negative powers"):
             IntPolynomial((1, 1)) ** k
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: p + 1,
+            lambda p: p - 1,
+            lambda p: 1 - p,
+            lambda p: p ** True,
+            lambda p: p ** 2.0,
+            lambda p: poly_divexact(p, 3),
+            lambda p: poly_divexact((1, 1), p),
+        ],
+        ids=["add-int", "sub-int", "int-sub", "pow-bool", "pow-float", "divexact-int", "divexact-tuple"],
+    )
+    def test_non_polynomial_operands_rejected(self, make):
+        # these raised AttributeError, and p ** True returned p
+        with pytest.raises(TypeError):
+            make(IntPolynomial((1, 1)))
+
     def test_binomial_square(self):
         one_plus_t = IntPolynomial((1, 1))
         assert one_plus_t**2 == IntPolynomial((1, 2, 1))
