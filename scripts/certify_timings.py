@@ -28,6 +28,14 @@ The cases:
   distinct commutators in 32 handles, whose reduced partial products
   alternate between [A, B] and I.
 
+A second table gives, for each n of the cases, the milliseconds of the
+first use of the three straight-line kernels that certification runs: the
+product (`linalg._product_kernel`), the column update of the factorisation
+(`linalg._reflection_kernel`) and the spinor walk
+(`clifford._spinor_kernel`).  Each is generated once per n and cached, so a
+process pays this once, on its first representation of that n; the stage
+table, best of k, leaves it out.  Each is timed from an emptied cache.
+
 The seed is fixed, so every run times the same matrices.  Standard library
 only; a few seconds on a 2 vCPU host.  Run from the root of a checkout:
 
@@ -56,6 +64,12 @@ TIMED = (
     ("relation", surfrep, "_relation_sign"),
     ("spin", clifford, "spinor_commutator"),
     ("certify", SurfaceRep, "__post_init__"),
+)
+# the kernels generated once per n, by column name
+KERNELS = (
+    ("product", linalg._product_kernel),
+    ("reflect", linalg._reflection_kernel),
+    ("spinor", clifford._spinor_kernel),
 )
 
 
@@ -150,6 +164,18 @@ def run_once(jobs):
     return total, split, calls["factor"], surfrep._handle_commutator.cache_info().misses
 
 
+def generation_ms(make, n, repeats):
+    """Milliseconds of the first use of one cached kernel generator at n,
+    from an emptied cache, the fastest of the repeats."""
+    best = float("inf")
+    for _ in range(repeats):
+        make.cache_clear()
+        start = time.perf_counter()
+        make(n)
+        best = min(best, time.perf_counter() - start)
+    return 1000 * best
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5, help="runs of each case; the fastest is shown")
@@ -170,6 +196,10 @@ def main() -> None:
         row = " ".join(f"{1000 * split[s]:9.2f}" for s in STAGES)
         print(f"{label:<18} {len(jobs):>4} {2 * g * len(jobs):>5} {factored:>8} {commutators:>11} {row} "
               f"{1000 * total:9.2f}", flush=True)
+    print(f"\nbest of {repeats} runs, ms to generate each kernel on first use")
+    print(f"{'n':>3} " + " ".join(f"{name:>9}" for name, _ in KERNELS))
+    for n in sorted({n for _, _, n, _ in CASES}):
+        print(f"{n:>3} " + " ".join(f"{generation_ms(make, n, repeats):9.2f}" for _, make in KERNELS))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import json
 import sys
 from collections.abc import Sequence
 
-from . import classify, clifford, construct, linalg, poincare, surfrep
+from . import classify, construct, linalg, poincare, surfrep
 
 EXIT_PARSE = 1
 EXIT_NOT_ORTHOGONAL = 2
@@ -80,8 +80,8 @@ def read_rep_file(path: str) -> surfrep.SurfaceRep:
         not isinstance(v, int) or isinstance(v, bool) for v in (n, genus)
     ):
         raise CliError("parse error: need integer keys n, genus and a generators array")
-    if n > clifford.MAX_DIM:
-        raise CliError(f"parse error: n = {n} exceeds the supported maximum {clifford.MAX_DIM}")
+    if n > linalg.MAX_DIM:
+        raise CliError(f"parse error: n = {n} exceeds the supported maximum {linalg.MAX_DIM}")
     if genus > MAX_FILE_GENUS:
         raise CliError(f"parse error: genus = {genus} exceeds the supported maximum {MAX_FILE_GENUS}")
     if not isinstance(generators, list) or len(generators) != 2 * genus:

@@ -18,25 +18,27 @@ algebra of size 2^(n/2) (Lawson-Michelsohn, Spin Geometry, I.5), so the
 product of the reflection vectors is applied to one spinor through
 Jordan-Wigner gamma matrices, at (n/2) 2^(n/2) multiply-adds per vector,
 mod p^(v+1) for one prime p, with p^v exactly dividing the norms' product.
-`commutator_product` stays the exact route the tests compare it with.
+The walk is straight-line Python generated once per n, like the kernels of
+`linalg`.  `commutator_product` stays the exact route the tests compare it
+with.
 
-The dimension is capped at 16: a blade mask then fits a machine word and a
-spinor has at most 256 entries.  Every example of interest here needs n <= 8.
+The dimension is capped at `linalg.MAX_DIM` = 16: a blade mask then fits a
+machine word and a spinor has at most 256 entries.  Every example of
+interest here needs n <= 8.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cache, reduce
-from operator import add, itemgetter, mul
+from operator import mul
 
 from .frozen import Frozen
-from .linalg import RatMatrix, as_fraction, reflection_vectors
-
-MAX_DIM = 16
+# _generated compiles a kernel source for a checked n, one helper for both modules
+from .linalg import MAX_DIM, RatMatrix, _generated, as_fraction, reflection_vectors
 
 Scalarish = int | Fraction
 
@@ -347,41 +349,42 @@ def _sqrt_minus_one(p: int, m: int) -> int:
 
 
 @cache
-def _gamma_tables(n: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
-    """The Jordan-Wigner gamma matrices of Cl(n), n even, on the 2^(n/2)
-    spinor entries, one pair per qubit k < n/2: gamma_2k = Z..Z X and
-    gamma_2k+1 = Z..Z Y, with the Pauli matrices X = [[0, 1], [1, 0]],
+def _spinor_kernel(n: int) -> Callable[[Iterable[Sequence[int]], Sequence[int], int, int], list[int]]:
+    """The walk that applies u_1 gamma_1 + ... + u_n gamma_n for each vector
+    u in turn to the spinor psi, mod m, with i a square root of -1 mod m,
+    for n even.  The gammas are the Jordan-Wigner matrices of Cl(n) on the
+    2^(n/2) spinor entries, one pair per qubit k < n/2: gamma_2k = Z..Z X
+    and gamma_2k+1 = Z..Z Y, with the Pauli matrices X = [[0, 1], [1, 0]],
     Y = [[0, -i], [i, 0]] on qubit k and Z = diag(1, -1) on each of the
     qubits below k (bit j of an entry's index is qubit j).  They square to
-    1 and anti-commute, and each is a phased permutation:
-    entry x of gamma psi is a phase times psi[x ^ 2^k].  Entry x of
-    (u_2k gamma_2k + u_2k+1 gamma_2k+1) psi is (-1)^s (u_2k + i u_2k+1)
-    psi[x ^ 2^k] when bit k of x is 1, and (-1)^s (u_2k - i u_2k+1)
+    1 and anti-commute, and each is a phased permutation, so entry x of the
+    image is a sum of n/2 products: over k, (-1)^s (u_2k + i u_2k+1)
+    psi[x ^ 2^k] when bit k of x is 1 and (-1)^s (u_2k - i u_2k+1)
     psi[x ^ 2^k] when it is 0, where (-1)^s is the sign of the Z string.
-    For each k the table holds one getter of those sources and one of the
-    selectors 2 s + (bit k of x), which index (u_2k - i u_2k+1,
-    u_2k + i u_2k+1, and their negatives)."""
-    size = 1 << (n // 2)
-    tables = []
-    for k in range(n // 2):
-        bit = 1 << k
-        sources = itemgetter(*(x ^ bit for x in range(size)))
-        selectors = itemgetter(
-            *(2 * ((x & (bit - 1)).bit_count() & 1) + (x >> k & 1) for x in range(size))
+    Those coefficients are computed once per vector."""
+    half = n // 2
+    coefficients = "; ".join(
+        f"a{k} = (u{2 * k} + i*u{2 * k + 1}) % m; b{k} = (u{2 * k} - i*u{2 * k + 1}) % m"
+        for k in range(half)
+    )
+
+    def entry(x: int) -> str:
+        terms = (
+            f"{'-' if (x & ((1 << k) - 1)).bit_count() & 1 else '+'} "
+            f"{'a' if x >> k & 1 else 'b'}{k}*p{x ^ (1 << k)}"
+            for k in range(half)
         )
-        tables.append((sources, selectors))
-    return tuple(tables)
+        return f"({' '.join(terms).removeprefix('+ ')}) % m"
 
-
-def _apply_vector(u: Sequence[int], psi: list[int], tables, i: int, m: int) -> list[int]:
-    """The spinor (u_1 gamma_1 + ... + u_n gamma_n) psi mod m, for a nonzero u."""
-    out = None
-    for (sources, selectors), x, y in zip(tables, u[::2], u[1::2]):
-        if x or y:
-            a, b = (x + i * y) % m, (x - i * y) % m
-            terms = map(mul, selectors((b, a, -b, -a)), sources(psi))
-            out = list(terms) if out is None else list(map(add, out, terms))
-    return [c % m for c in out]
+    spinor = ", ".join(f"p{x}" for x in range(1 << half))
+    return _generated("walk", n, f"""
+def walk(vectors, psi, i, m):
+    {spinor}, = psi
+    for {", ".join(f"u{k}" for k in range(n))}, in vectors:
+        {coefficients}
+        {spinor}, = {", ".join(entry(x) for x in range(1 << half))},
+    return [{spinor}]
+""")
 
 
 def spinor_commutator(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> KernelElement:
@@ -399,27 +402,33 @@ def spinor_commutator(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> Kerne
     m = p^(v+1) when p^v exactly divides N; m and N mod m are read off each
     norm's powers of p without forming N.  A result that is none of them
     raises NotInKernel; a match proves nothing unless the relation was
-    certified, as SurfaceRep does.
+    certified, as SurfaceRep does.  ValueError for a vector of another
+    length than n, an entry that is not an int, or a zero vector, whose
+    norm every power of p divides.
     """
     if len(lifts) < 2 or len(lifts) % 2 != 0:
         raise ValueError("expected a non-empty even-length list of lifts")
     _check_dimension(n)
     if n % 2:
         raise ValueError(f"the spinor route needs an even dimension, got n = {n}")
-    if any(len(u) != n for lift in lifts for u in lift):
-        raise ValueError(f"every reflection vector must have length n = {n}")
-    sequence = [u for g, h in zip(lifts[::2], lifts[1::2]) for u in (*g, *h, *g[::-1], *h[::-1])]
     p = _SPINOR_PRIME
     m, unit = p, 1
-    for uu in (sum(x * x for x in u) for lift in lifts for u in lift):
-        while uu % p == 0:
-            uu //= p
-            m *= p
-        unit = unit * uu % p
-    norm, i, tables = m // p * unit, _sqrt_minus_one(p, m), _gamma_tables(n)
-    psi = [1, 1] + [0] * ((1 << n // 2) - 2)
-    for u in reversed(sequence):
-        psi = _apply_vector(u, psi, tables, i, m)
+    for lift in lifts:
+        for u in lift:
+            if len(u) != n:
+                raise ValueError(f"every reflection vector must have length n = {n}")
+            if not all(type(x) is int for x in u):
+                raise ValueError(f"reflection vector entries must be ints, got {u!r}")
+            uu = sum(map(mul, u, u))
+            if not uu:
+                raise ValueError("a reflection vector is zero")
+            while uu % p == 0:
+                uu //= p
+                m *= p
+            unit = unit * uu % p
+    sequence = [u for g, h in zip(lifts[::2], lifts[1::2]) for u in (*g, *h, *g[::-1], *h[::-1])]
+    norm, i = m // p * unit, _sqrt_minus_one(p, m)
+    psi = _spinor_kernel(n)(reversed(sequence), [1, 1] + [0] * ((1 << n // 2) - 2), i, m)
     c = pow(i, n // 2, m) * norm % m
     candidates = {
         (norm, norm): KernelElement.ONE,

@@ -13,8 +13,7 @@ from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 
-from .clifford import MAX_DIM
-from .linalg import RatMatrix
+from .linalg import MAX_DIM, RatMatrix
 from .surfrep import InvalidClass, InvariantClass, Mu2Value, SurfaceRep, invariants
 from .surfrep import check_ints, even_n
 

@@ -133,9 +133,9 @@ class SurfaceRep(Frozen):
         if type(self.genus) is not int or type(self.n) is not int:
             raise linalg.BadShape(f"genus and n must be ints, got {self.genus!r} and {self.n!r}")
         check_genus(linalg.BadShape, self.genus)
-        # above MAX_DIM the spin obstruction cannot be computed
-        if not even_n(self.n, clifford.MAX_DIM):
-            raise linalg.BadShape(f"n must be even with 4 <= n <= {clifford.MAX_DIM}, got {self.n}")
+        # above MAX_DIM no product, factorisation or spin obstruction is computed
+        if not even_n(self.n, linalg.MAX_DIM):
+            raise linalg.BadShape(f"n must be even with 4 <= n <= {linalg.MAX_DIM}, got {self.n}")
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)
         if len(gens) != 2 * self.genus:

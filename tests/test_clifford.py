@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, itemgetter, mul
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +16,7 @@ from pglrep.clifford import (
     NotAVersor,
     NotInKernel,
     NotVectorPreserving,
-    _apply_vector,
-    _gamma_tables,
+    _spinor_kernel,
     _sqrt_minus_one,
     commutator_product,
     lift_factors,
@@ -461,6 +460,64 @@ def _random_vector(rng, n):
     return u
 
 
+# ---------------------------------------------------------------------------
+# the generated spinor walk against the gamma tables it replaced
+# ---------------------------------------------------------------------------
+
+
+def gamma_tables(n):
+    """The Jordan-Wigner gammas of Cl(n), n even, one pair per qubit k, each
+    as a getter of the sources x ^ 2^k and one of the selectors 2 s + (bit
+    k of x), which index (u_2k - i u_2k+1, u_2k + i u_2k+1, negatives)."""
+    size = 1 << (n // 2)
+    tables = []
+    for k in range(n // 2):
+        bit = 1 << k
+        sources = itemgetter(*(x ^ bit for x in range(size)))
+        selectors = itemgetter(
+            *(2 * ((x & (bit - 1)).bit_count() & 1) + (x >> k & 1) for x in range(size))
+        )
+        tables.append((sources, selectors))
+    return tables
+
+
+def apply_vector(u, psi, tables, i, m):
+    """The spinor (u_1 gamma_1 + ... + u_n gamma_n) psi mod m, for a nonzero
+    u, qubit by qubit, skipping the qubits where u is zero: the loop the
+    generated walk replaced."""
+    out = None
+    for (sources, selectors), x, y in zip(tables, u[::2], u[1::2]):
+        if x or y:
+            a, b = (x + i * y) % m, (x - i * y) % m
+            terms = map(mul, selectors((b, a, -b, -a)), sources(psi))
+            out = list(terms) if out is None else list(map(add, out, terms))
+    return [c % m for c in out]
+
+
+def _kernel_vector(rng, n):
+    """Entries 0, +-1 and about 60 bits; whole qubits zero, never all of u."""
+    u = [rng.choice((0, 0, 1, -1, rng.getrandbits(60), -rng.getrandbits(60))) for _ in range(n)]
+    if not any(u):
+        u[rng.randrange(n)] = 1
+    return u
+
+
+@pytest.mark.parametrize("n", range(2, MAX_DIM + 1, 2))
+def test_spinor_kernel_matches_the_gamma_table_reference(n):
+    rng, walk, tables = random.Random(n), _spinor_kernel(n), gamma_tables(n)
+    p = _SPINOR_PRIME
+    for k in (1, 2):
+        m = p**k
+        i = _sqrt_minus_one(p, m)
+        for _ in range(4):
+            vectors = [_kernel_vector(rng, n) for _ in range(rng.randint(1, 3))]
+            psi = [rng.choice((0, 1, m - 1, rng.randrange(m))) for _ in range(1 << n // 2)]
+            expected = psi
+            for u in vectors:
+                expected = apply_vector(u, expected, tables, i, m)
+            assert walk(vectors, psi, i, m) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -468,17 +525,17 @@ def _random_vector(rng, n):
     st.sampled_from((1, 2)),
 )
 def test_gamma_tables_satisfy_the_clifford_relations(seed, n, k):
-    # u v + v u = 2 (u.v) on an arbitrary spinor mod p^k, so the tables
-    # represent Cl(n) there
+    # u v + v u = 2 (u.v) on an arbitrary spinor mod p^k, so the generated
+    # walk represents Cl(n) there; it applies its vectors first to last
     rng = random.Random(seed)
-    p, tables = _SPINOR_PRIME, _gamma_tables(n)
+    p, walk = _SPINOR_PRIME, _spinor_kernel(n)
     m = p**k
     i = _sqrt_minus_one(p, m)
     assert i * i % m == m - 1
     u, v = _random_vector(rng, n), _random_vector(rng, n)
     psi = [rng.randrange(m) for _ in range(1 << n // 2)]
-    uv = _apply_vector(u, _apply_vector(v, psi, tables, i, m), tables, i, m)
-    vu = _apply_vector(v, _apply_vector(u, psi, tables, i, m), tables, i, m)
+    uv = walk([v, u], psi, i, m)
+    vu = walk([u, v], psi, i, m)
     dot = sum(map(mul, u, v))
     assert [(x + y) % m for x, y in zip(uv, vu)] == [2 * dot * c % m for c in psi]
 
@@ -489,8 +546,8 @@ def test_volume_element_separates_the_chiralities_of_psi0():
     i = _sqrt_minus_one(p, p)
     for n in range(2, MAX_DIM + 1, 2):
         psi = [1, 1] + [0] * ((1 << n // 2) - 2)
-        for k in reversed(range(n)):
-            psi = _apply_vector([int(j == k) for j in range(n)], psi, _gamma_tables(n), i, p)
+        basis = [[int(j == k) for j in range(n)] for k in reversed(range(n))]
+        psi = _spinor_kernel(n)(basis, psi, i, p)
         c = pow(i, n // 2, p)
         assert psi[:2] == [c, p - c] and not any(psi[2:])
 
@@ -556,3 +613,28 @@ class TestSpinorCommutator:
             spinor_commutator(MAX_DIM + 2, [[], []])
         with pytest.raises(ValueError, match="positive integer"):
             spinor_commutator(0, [[], []])
+
+    def test_zero_vector_refused(self):
+        # its norm is 0, which every power of p divides
+        lifts = [[[0, 0, 0, 0]], [[0, 1, 0, 0]]]
+        with pytest.raises(ValueError, match="reflection vector is zero"):
+            spinor_commutator(4, lifts)
+        with pytest.raises(NotAVersor):
+            commutator_product([[CliffordElement.vector(4, u) for u in g] for g in lifts])
+
+    @pytest.mark.parametrize(
+        "lifts",
+        [
+            [[[3.0, 4.0, 0, 0]], [[0, 0, 1.0, 0]]],
+            [[[3, 4, 0, 0]], [[0, 0, True, 0]]],
+            [[[Fraction(3), 4, 0, 0]], [[0, 0, 1, 0]]],
+            [[[3, 4, 0, 0]], [[0, 0, "1", 0]]],
+        ],
+        ids=["float", "bool", "fraction", "str"],
+    )
+    def test_non_int_entries_refused(self, lifts):
+        with pytest.raises(ValueError, match="entries must be ints"):
+            spinor_commutator(4, lifts)
+        # the same vectors as ints
+        ints = [[[int(x) for x in u] for u in g] for g in lifts]
+        assert spinor_commutator(4, ints) == KernelElement.MINUS_ONE

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pglrep.classify import invariant_classes
-from pglrep.clifford import MAX_DIM
+from pglrep.linalg import MAX_DIM
 from pglrep.construct import (
     BadDimension,
     PairKind,

@@ -42,7 +42,7 @@ DOMAIN = [
     (2, 6, (OK,) * 6),
     (2, 16, (OK,) * 6),
     (2, 17, REFUSED_N),
-    # clifford.MAX_DIM caps what builds a matrix; class enumeration has no cap
+    # linalg.MAX_DIM caps what builds a matrix; class enumeration has no cap
     (2, 18, (BadShape, BadDimension, BadDimension, BadDimension, OK, OK)),
     (1, 4, (BadShape, InvalidClass, OK, OK, BadInput, OK)),
     (8, 4, (OK,) * 6),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from pglrep.clifford import CliffordElement
 from pglrep.linalg import (
+    MAX_DIM,
     BadShape,
     NotOrthogonal,
     OrthComponent,
@@ -22,6 +23,7 @@ from pglrep.linalg import (
     integer_product,
     lowest_terms,
     reflection_vectors,
+    _reflection_kernel,
 )
 
 import randmat
@@ -266,7 +268,7 @@ def test_orthogonality_certificate(data, n, q):
 @st.composite
 def mixed_tables(draw, n: int) -> list[list[Fraction]]:
     """Tables whose rows are zero, hold one nonzero entry (+-1, +-1/d or any
-    other value) or are dense, so the product takes both of its row paths."""
+    other value) or are dense."""
     d = draw(st.integers(min_value=1, max_value=6))
     single = st.sampled_from((Fraction(1), Fraction(-1), Fraction(1, d), Fraction(-1, d)))
     table = []
@@ -283,7 +285,7 @@ def mixed_tables(draw, n: int) -> list[list[Fraction]]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data(), st.integers(min_value=1, max_value=8))
+@given(st.data(), st.integers(min_value=1, max_value=MAX_DIM))
 def test_product_kernel_matches_fraction_reference(data, n):
     a = data.draw(mixed_tables(n))
     b = data.draw(mixed_tables(n))
@@ -297,6 +299,117 @@ def test_product_kernel_matches_fraction_reference(data, n):
     assert_lowest_terms(product)
     rebuilt = RatMatrix(ref_mul(a, b))
     assert product == rebuilt and hash(product) == hash(rebuilt)
+
+
+# ---------------------------------------------------------------------------
+# the generated kernels against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_product(lhs, rhs):
+    """The product row by row, a row with one nonzero a at column k taken as
+    a times row k of rhs: the loop the generated product replaced."""
+    n = len(rhs)
+    cols = None
+    out = []
+    for row in lhs:
+        if row.count(0) == n - 1:
+            a = sum(row)
+            r = rhs[row.index(a)]
+            out.append(r if a == 1 else tuple([a * x for x in r]))
+        else:
+            cols = cols or [*zip(*rhs)]
+            out.append(tuple([sum(map(mul, row, col)) for col in cols]))
+    return tuple(out)
+
+
+def loop_reflect(u, uu, cols, dens, start):
+    """The column update the generated reflection replaced."""
+    for j in range(start, len(cols)):
+        col = cols[j]
+        t = sum(map(mul, u, col))
+        if t:
+            t += t
+            cols[j] = [uu * x - t * y for x, y in zip(col, u)]
+            dens[j] *= uu
+
+
+def kernel_entry(rng):
+    return rng.choice((0, 0, 1, -1, rng.getrandbits(60), -rng.getrandbits(60)))
+
+
+def kernel_table(rng, n):
+    """Rows that are zero, hold one nonzero entry or are dense; entries 0,
+    +-1 and about 60 bits."""
+    table = []
+    for _ in range(n):
+        row = [0] * n
+        kind = rng.choice(("zero", "single", "dense"))
+        if kind == "single":
+            row[rng.randrange(n)] = rng.choice((1, -1, kernel_entry(rng) or 2))
+        elif kind == "dense":
+            row = [kernel_entry(rng) for _ in range(n)]
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+def test_generated_product_matches_the_row_loop(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = kernel_table(rng, n), kernel_table(rng, n)
+        assert integer_product(a, b) == loop_product(a, b)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_DIM + 1))
+def test_generated_reflection_matches_the_column_loop(n):
+    rng, reflect = random.Random(n), _reflection_kernel(n)
+    for _ in range(20):
+        u = [kernel_entry(rng) for _ in range(n)]
+        if not any(u):
+            u[rng.randrange(n)] = 1
+        cols = [list(col) for col in kernel_table(rng, n)]
+        if n > 1:
+            # a column orthogonal to u, which is left as it is
+            a, b = rng.sample(range(n), 2)
+            cols[rng.randrange(n)] = [u[b] if k == a else -u[a] if k == b else 0 for k in range(n)]
+        dens = [rng.randint(1, 9) for _ in range(n)]
+        start = rng.randint(0, n)
+        expected_cols, expected_dens = [col[:] for col in cols], dens[:]
+        uu = sum(x * x for x in u)
+        loop_reflect(u, uu, expected_cols, expected_dens, start)
+        reflect(u, uu, cols, dens, start)
+        assert (cols, dens) == (expected_cols, expected_dens)
+
+
+def test_kernels_refuse_dimensions_above_the_cap():
+    n = MAX_DIM + 1
+    big = RatMatrix.identity(n)
+    with pytest.raises(BadShape, match=f"from 1 to {MAX_DIM}, got {n}"):
+        integer_product(big.num, big.num)
+    with pytest.raises(BadShape, match=f"from 1 to {MAX_DIM}, got {n}"):
+        big * big
+    with pytest.raises(BadShape, match=f"from 1 to {MAX_DIM}, got {n}"):
+        reflection_vectors(big)
+    with pytest.raises(BadShape, match=f"from 1 to {MAX_DIM}, got {n}"):
+        component(big)
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs",
+    [
+        (((1, 2, 5), (3, 4, 6)), ((1, 0), (0, 1))),
+        (((1, 2), (3, 4)), ((1,), (2,))),
+        (((1, 2), (3,)), ((1, 0), (0, 1))),
+        (((1, 2), (3, 4), (5, 6)), ((1, 0), (0, 1))),
+        (((1, 2),), ((1, 0), (0, 1))),
+        ((), ()),
+    ],
+    ids=["long-lhs-rows", "short-rhs-rows", "ragged-lhs", "tall-lhs", "short-lhs", "empty"],
+)
+def test_product_refuses_tables_that_are_not_both_n_by_n(lhs, rhs):
+    with pytest.raises(BadShape):
+        integer_product(lhs, rhs)
 
 
 def test_lowest_terms():

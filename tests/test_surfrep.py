@@ -510,7 +510,8 @@ def test_certify_timings_script():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    title, header, *rows = done.stdout.splitlines()
+    stages, kernels = done.stdout.split("\n\n")
+    title, header, *rows = stages.splitlines()
     assert title.startswith("best of 1 runs, ms per stage")
     assert header.split() == ["case", "reps", "gens", "factored", "commutators", "factor", "relation",
                               "spin", "other", "construct", "total"]
@@ -523,3 +524,10 @@ def test_certify_timings_script():
         assert len(ms) == 6 and all(float(x) >= -0.01 for x in ms)
     # the alternating case holds two distinct generators in 64 slots and two distinct handles
     assert rows[-1].split()[:7] == ["alternating", "32", "16", "1", "64", "2", "2"]
+    # first-use generation of the three kernels, one row per n of the cases
+    title, header, *rows = kernels.splitlines()
+    assert title == "best of 1 runs, ms to generate each kernel on first use"
+    assert header.split() == ["n", "product", "reflect", "spinor"]
+    assert [row.split()[0] for row in rows] == ["4", "6", "8", "16"]
+    for row in rows:
+        assert all(float(x) > 0 for x in row.split()[1:])
