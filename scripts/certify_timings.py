@@ -6,7 +6,7 @@ each distinct generator into reflections (`linalg.reflection_vectors`),
 decides the relation sign (`surfrep._relation_sign`) by the trace of the
 product of the handle commutators, each taken from a memo of the last 64
 handles (`surfrep._handle_commutator`), and, when mu1 = 0, the spin
-obstruction (`clifford.spinor_commutator`).  For the duration of a run this
+obstruction (`spin.spinor_commutator`).  For the duration of a run this
 script wraps those three functions and `SurfaceRep.__post_init__` with
 timers, and prints for each case the number of factorisations and of
 commutators computed (memo misses) and the milliseconds spent in each
@@ -32,7 +32,7 @@ A second table gives, for each n of the cases, the milliseconds of the
 first use of the three straight-line kernels that certification runs: the
 product (`linalg._product_kernel`), the column update of the factorisation
 (`linalg._reflection_kernel`) and the spinor walk
-(`clifford._spinor_kernel`).  Each is generated once per n and cached, so a
+(`spin._spinor_kernel`).  Each is generated once per n and cached, so a
 process pays this once, on its first representation of that n; the stage
 table, best of k, leaves it out.  Each is timed from an emptied cache.
 
@@ -49,7 +49,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from pglrep import clifford, linalg, surfrep
+from pglrep import linalg, spin, surfrep
 from pglrep.classify import invariant_classes
 from pglrep.construct import build_representation
 from pglrep.linalg import RatMatrix
@@ -62,14 +62,14 @@ STAGES = ("factor", "relation", "spin", "other", "construct")
 TIMED = (
     ("factor", linalg, "reflection_vectors"),
     ("relation", surfrep, "_relation_sign"),
-    ("spin", clifford, "spinor_commutator"),
+    ("spin", spin, "spinor_commutator"),
     ("certify", SurfaceRep, "__post_init__"),
 )
 # the kernels generated once per n, by column name
 KERNELS = (
     ("product", linalg._product_kernel),
     ("reflect", linalg._reflection_kernel),
-    ("spinor", clifford._spinor_kernel),
+    ("spinor", spin._spinor_kernel),
 )
 
 

@@ -11,7 +11,7 @@ seed is fixed, so every run times the same matrices.
 
 Printed for each n, as the best of a few repeats: `lift_factors` and
 `lift_orthogonal` on A and B; `commutator_product` on the factored lifts and
-on the dense lifts; `spinor_commutator` on the `reflection_vectors` of
+on the dense lifts; `spin.spinor_commutator` on the `reflection_vectors` of
 A and B, the factorisation included; the number of factors and of dense lift terms; and the largest
 coefficient bit size of any product the integer kernel returns on each
 product route (recorded in one extra untimed call, which also checks that
@@ -29,14 +29,9 @@ import time
 from fractions import Fraction
 
 from pglrep import clifford
-from pglrep.clifford import (
-    KernelElement,
-    commutator_product,
-    lift_factors,
-    lift_orthogonal,
-    spinor_commutator,
-)
+from pglrep.clifford import commutator_product, lift_factors, lift_orthogonal
 from pglrep.linalg import RatMatrix, reflection_vectors
+from pglrep.spin import KernelElement, spinor_commutator
 
 SEED = 20261018
 TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (9, 40, 41))

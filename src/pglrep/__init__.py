@@ -5,7 +5,7 @@ certificates, finite-group orbit classification and integer polynomial
 series.  See the README for the command-line surface.
 
 Every CLI command is a new interpreter, so importing the package runs no
-layer.  Each of the six library layers is registered in `sys.modules` and
+layer.  Each of the seven library layers is registered in `sys.modules` and
 set as an attribute here through `importlib.util.LazyLoader`, and is
 compiled and run when one of its attributes is first read.  The names
 below re-export layer attributes; `__getattr__` looks each one up in its
@@ -19,14 +19,13 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 _EXPORTS = {
     "clifford": (
         "CliffordElement",
-        "KernelElement",
         "commutator_product",
         "lift_factors",
         "lift_orthogonal",
-        "spinor_commutator",
         "twisted_conjugation_matrix",
         "volume_element",
     ),
+    "spin": ("KernelElement", "spinor_commutator"),
     "classify": (
         "ComponentReport",
         "FinAbGroup",
@@ -74,6 +73,7 @@ def _register(layer):
 
 
 linalg = _register("linalg")
+spin = _register("spin")
 clifford = _register("clifford")
 surfrep = _register("surfrep")
 construct = _register("construct")

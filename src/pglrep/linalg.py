@@ -83,7 +83,12 @@ class RatMatrix(Frozen):
     __slots__ = ("n", *_fields)
 
     def __init__(self, rows: Iterable[Iterable[Rationalish]]):
-        table = [[as_fraction(x) for x in row] for row in rows]
+        table = []
+        for row in rows:
+            # iterating a string or bytes row would read it one character or byte at a time
+            if isinstance(row, (str, bytes, bytearray)):
+                raise BadShape(f"a matrix row must be a sequence of entries, got {row!r}")
+            table.append([as_fraction(x) for x in row])
         n = len(table)
         if any(len(row) != n for row in table):
             raise BadShape("matrix must be square and non-empty")

@@ -15,9 +15,9 @@ from functools import lru_cache
 from itertools import chain
 from operator import mul
 
-# clifford and linalg are reached at call time, so the class enumeration of
+# linalg and spin are reached at call time, so the class enumeration of
 # classify, which needs only InvariantClass, runs neither
-from . import clifford, linalg
+from . import linalg, spin
 from .frozen import Frozen
 
 
@@ -165,7 +165,7 @@ class SurfaceRep(Frozen):
             mu2 = Mu2Value.OMEGA if sign == RelationSign.MINUS_I else Mu2Value.ZERO
         else:
             # the spinor route never reads the relation sign
-            mu2 = _KERNEL_TO_MU2[clifford.spinor_commutator(self.n, reflections).name]
+            mu2 = _KERNEL_TO_MU2[spin.spinor_commutator(self.n, reflections).name]
         object.__setattr__(self, "reflections", reflections)
         object.__setattr__(self, "relation_sign", sign)
         object.__setattr__(self, "invariant_class", InvariantClass(mu1, mu2))
@@ -223,7 +223,7 @@ def delta1(rep: SurfaceRep) -> tuple[int, ...]:
     return rep.invariant_class.mu1
 
 
-# keyed by clifford.KernelElement member name
+# keyed by spin.KernelElement member name
 _KERNEL_TO_MU2 = {
     "ONE": Mu2Value.ZERO,
     "MINUS_ONE": Mu2Value.ONE,

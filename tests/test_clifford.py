@@ -9,24 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pglrep.clifford import (
-    MAX_DIM,
-    _SPINOR_PRIME,
     CliffordElement,
-    KernelElement,
     NotAVersor,
-    NotInKernel,
     NotVectorPreserving,
-    _spinor_kernel,
-    _sqrt_minus_one,
     commutator_product,
     lift_factors,
     lift_orthogonal,
-    spinor_commutator,
     twisted_conjugation_matrix,
     volume_element,
 )
 from pglrep.construct import build_representation
-from pglrep.linalg import NotOrthogonal, RatMatrix, reflection_vectors
+from pglrep.linalg import MAX_DIM, NotOrthogonal, RatMatrix, reflection_vectors
+from pglrep.spin import (
+    _SPINOR_PRIME,
+    KernelElement,
+    NotInKernel,
+    _spinor_kernel,
+    _sqrt_minus_one,
+    spinor_commutator,
+)
 from pglrep.surfrep import InvariantClass, Mu2Value
 
 import randmat

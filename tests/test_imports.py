@@ -33,9 +33,10 @@ def test_cli_import_graph():
 # the names the package re-exported when it imported every layer eagerly
 EXPORTS = {
     "clifford": (
-        "CliffordElement", "KernelElement", "commutator_product", "lift_factors",
-        "lift_orthogonal", "spinor_commutator", "twisted_conjugation_matrix", "volume_element",
+        "CliffordElement", "commutator_product", "lift_factors", "lift_orthogonal",
+        "twisted_conjugation_matrix", "volume_element",
     ),
+    "spin": ("KernelElement", "spinor_commutator"),
     "classify": (
         "ComponentReport", "FinAbGroup", "GroupAction", "LiftTarget", "TwistedClass",
         "classify_bundles", "component_count", "components_per_class", "egl_component_counts",
@@ -78,7 +79,7 @@ def executed_modules(body, *argv, cwd=None):
 
 BASE = {"__init__", "cli", "frozen"}
 COUNTING = BASE | {"surfrep", "classify"}
-INVARIANTS = BASE | {"linalg", "clifford", "surfrep"}
+INVARIANTS = BASE | {"linalg", "spin", "surfrep"}
 
 
 @pytest.mark.parametrize(
@@ -93,19 +94,54 @@ INVARIANTS = BASE | {"linalg", "clifford", "surfrep"}
         (["egl-components", "--deg", "1", "--genus", "2", "--n", "6"], COUNTING),
         (["lift-check", "--mu1", "0000", "--mu2", "1"], COUNTING),
         (["bundle-classify", "--n", "6", "--mu1", "1000"], COUNTING),
+        # mu1 = 0: the spin obstruction runs, and the multivector algebra does not
         (["invariants", str(FIXTURES / "conjugated_omega.json")], INVARIANTS),
-        # mu1 != 0: the spin obstruction, the one use of clifford, is not computed
+        (["construct", "--genus", "2", "--n", "4", "--mu1", "0000", "--mu2", "1", "--out",
+          "rep.json"], INVARIANTS | {"construct"}),
+        # mu1 != 0: the spin obstruction, the one use of spin, is not computed
         (["construct", "--genus", "2", "--n", "4", "--mu1", "0110", "--mu2", "omega", "--out",
-          "rep.json"], INVARIANTS - {"clifford"} | {"construct"}),
+          "rep.json"], INVARIANTS - {"spin"} | {"construct"}),
     ],
     ids=[
         "help", "poincare", "poincare-error", "classify", "components", "egl-components",
-        "lift-check", "bundle-classify", "invariants", "construct",
+        "lift-check", "bundle-classify", "invariants", "construct-mu1-zero", "construct",
     ],
 )
 def test_subcommand_executes_only_its_layers(tmp_path, argv, expected):
     body = "from pglrep import cli\ncli.main(sys.argv[1:])"
     assert executed_modules(body, *argv, cwd=tmp_path) == expected
+
+
+# certifies one representation through the library, without the CLI
+CATALOGUE = """
+from pglrep.construct import build_representation
+from pglrep.surfrep import InvariantClass, Mu2Value
+target = InvariantClass(tuple(map(int, sys.argv[1])), Mu2Value(sys.argv[2]))
+assert build_representation(2, 4, target).invariant_class == target
+"""
+FROM_FILE = """
+from pglrep.linalg import RatMatrix
+from pglrep.surfrep import SurfaceRep
+with open(sys.argv[1], encoding="utf-8") as fh:
+    doc = json.load(fh)
+rep = SurfaceRep(doc["genus"], doc["n"], tuple(RatMatrix(rows) for rows in doc["generators"]))
+assert (rep.invariant_class.mu1_string(), rep.invariant_class.mu2.value) == tuple(sys.argv[2:])
+"""
+CERTIFIED = {"__init__", "frozen", "linalg", "surfrep"}
+
+
+@pytest.mark.parametrize(
+    "body,argv,expected",
+    [
+        (CATALOGUE, ["0000", "1"], CERTIFIED | {"construct", "spin"}),
+        (FROM_FILE, [str(FIXTURES / "conjugated_omega.json"), "0000", "omega"], CERTIFIED | {"spin"}),
+        # mu1 != 0: neither the spinor walk nor the multivector algebra
+        (CATALOGUE, ["0110", "omega"], CERTIFIED | {"construct"}),
+    ],
+    ids=["catalogue-mu1-zero", "conjugated-omega", "catalogue-mu1-nonzero"],
+)
+def test_certification_runs_spin_and_never_clifford(body, argv, expected):
+    assert executed_modules(body, *argv) == expected
 
 
 def test_bare_import_executes_no_layer():
@@ -146,4 +182,6 @@ def test_startup_times_script():
     (poincare,) = (row for row in rows if row.startswith("poincare "))
     assert poincare.endswith("  cli frozen poincare")
     (invariants,) = (row for row in rows if row.startswith("invariants "))
-    assert invariants.endswith("  cli clifford frozen linalg surfrep")
+    assert invariants.endswith("  cli frozen linalg spin surfrep")
+    (construct,) = (row for row in rows if row.startswith("construct "))
+    assert construct.endswith("  cli construct frozen linalg spin surfrep")

@@ -109,8 +109,12 @@ def test_commutator_size_mismatch():
         (lambda: as_fraction(0.5), TypeError, "not an exact rational"),
         (lambda: as_fraction(True), TypeError, "not an exact rational"),
         (lambda: as_fraction(None), TypeError, "not an exact rational"),
+        # iterated, a str row yields its characters and a bytes row its byte values
+        (lambda: RatMatrix(["12", "34"]), BadShape, "row must be a sequence of entries"),
+        (lambda: RatMatrix([b"1"]), BadShape, "row must be a sequence of entries"),
+        (lambda: RatMatrix([bytearray(b"1")]), BadShape, "row must be a sequence of entries"),
     ],
-    ids=["matmul-size", "float", "bool", "none"],
+    ids=["matmul-size", "float", "bool", "none", "str-rows", "bytes-row", "bytearray-row"],
 )
 def test_mismatched_sizes_and_non_rationals_rejected(make, error, match):
     with pytest.raises(error, match=match):

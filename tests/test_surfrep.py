@@ -10,17 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pglrep import clifford, linalg, surfrep
-from pglrep.clifford import (
-    _SPINOR_PRIME,
-    CliffordElement,
-    KernelElement,
-    _sqrt_minus_one,
-    commutator_product,
-    lift_factors,
-)
+from pglrep import clifford, linalg, spin, surfrep
+from pglrep.clifford import CliffordElement, commutator_product, lift_factors
 from pglrep.construct import build_representation, catalogue_matrix
 from pglrep.linalg import BadShape, NotOrthogonal, RatMatrix, commutator
+from pglrep.spin import _SPINOR_PRIME, KernelElement, _sqrt_minus_one
 from pglrep.surfrep import (
     Delta1NotZero,
     InvalidClass,
@@ -493,7 +487,7 @@ def test_each_distinct_generator_is_factored_once(monkeypatch):
     InvariantClass((0, 0, 0, 0, 0, 0), mu2) for mu2 in Mu2Value
 ] + [InvariantClass((1, 0, 0, 1, 0, 0), Mu2Value.OMEGA)], ids=lambda c: f"{c.mu1_string()}-{c.mu2.value}")
 def test_spin_obstruction_runs_once_per_representation(target, monkeypatch):
-    calls = _counting(monkeypatch, clifford, "spinor_commutator")
+    calls = _counting(monkeypatch, spin, "spinor_commutator")
     r = build_representation(3, 6, target)
     assert invariants(r) == target
     if target.mu1_is_zero:
