@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 
 from .frozen import Frozen
-from .surfrep import InvariantClass, Mu2Value, check_genus, check_ints, even_n
+from .surfrep import InvariantClass, Mu2Value, check_genus, check_ints, check_mu1_length, even_n
 
 MAX_GROUP_SIZE = 1 << 16
 
@@ -217,9 +217,15 @@ def po_bundle_data(n: int) -> GroupAction:
 
 def po_kernel_label(n: int, v: Element) -> str:
     """Additive name of a pi_1 element of PO(n): 0, 1, omega or -omega."""
+    check_ints(BadInput, n=n)
+    _check_n(n)
     if n % 4 == 0:
-        return {(0, 0): "0", (1, 0): "1", (0, 1): "omega", (1, 1): "-omega"}[v]
-    return {(0,): "0", (2,): "1", (1,): "omega", (3,): "-omega"}[v]
+        names = {(0, 0): "0", (1, 0): "1", (0, 1): "omega", (1, 1): "-omega"}
+    else:
+        names = {(0,): "0", (2,): "1", (1,): "omega", (3,): "-omega"}
+    if type(v) is not tuple or v not in names:
+        raise BadInput(f"{v!r} is not an element of pi_1 of PO({n})")
+    return names[v]
 
 
 def _zero_mu1(g: int) -> tuple[int, ...]:
@@ -334,6 +340,7 @@ class TwistedClass(Frozen):
 
     def __init__(self, mu1bar: Sequence[int], deg: int, w2: int | None = None):
         mu1bar = tuple(mu1bar)
+        check_mu1_length(BadInput, mu1bar)
         if type(deg) is not int or any(type(bit) is not int or bit not in (0, 1) for bit in mu1bar):
             raise BadInput(f"deg must be an int and mu1bar entries bits, got {deg!r}, {mu1bar}")
         if not any(mu1bar) and deg % 2 == 0:
@@ -424,7 +431,8 @@ def tensor_by_line_bundle(
     if n % 2 != 0:
         raise BadInput(f"rank must be even, got {n}")
     w1, f1 = tuple(w1), tuple(f1)
-    if len(w1) != len(f1) or len(w1) % 2 != 0:
+    check_mu1_length(BadInput, w1)
+    if len(w1) != len(f1):
         raise BadInput("w1 and f1 must have the same even length 2g")
     if any(type(bit) is not int or bit not in (0, 1) for bit in (*w1, *f1, w2)):
         raise BadInput(f"w1, f1 and w2 must be bits, got {w1}, {f1}, {w2!r}")

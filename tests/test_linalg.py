@@ -113,8 +113,16 @@ def test_commutator_size_mismatch():
         (lambda: RatMatrix(["12", "34"]), BadShape, "row must be a sequence of entries"),
         (lambda: RatMatrix([b"1"]), BadShape, "row must be a sequence of entries"),
         (lambda: RatMatrix([bytearray(b"1")]), BadShape, "row must be a sequence of entries"),
+        # likewise a str or bytes diagonal: "12" would be diag(1, 2) and b"12" diag(49, 50)
+        (lambda: RatMatrix.diagonal("12"), BadShape, "diagonal must be a sequence of entries"),
+        (lambda: RatMatrix.diagonal(b"12"), BadShape, "diagonal must be a sequence of entries"),
+        (lambda: RatMatrix.identity(True), BadShape, "identity size must be an int"),
+        (lambda: RatMatrix.identity(2.0), BadShape, "identity size must be an int"),
     ],
-    ids=["matmul-size", "float", "bool", "none", "str-rows", "bytes-row", "bytearray-row"],
+    ids=[
+        "matmul-size", "float", "bool", "none", "str-rows", "bytes-row", "bytearray-row",
+        "str-diagonal", "bytes-diagonal", "bool-identity", "float-identity",
+    ],
 )
 def test_mismatched_sizes_and_non_rationals_rejected(make, error, match):
     with pytest.raises(error, match=match):
