@@ -287,11 +287,11 @@ def lifts_to(cls: InvariantClass, target: LiftTarget) -> bool:
 
 
 def z0(n: int, g: int) -> int:
-    """(g - 1) n^2 / 4 mod 2: the split-class second Stiefel-Whitney value."""
+    """(g - 1) n^2 / 4 mod 2: the split-class second Stiefel-Whitney value,
+    for even n >= 4 and g >= 2."""
     check_ints(BadInput, n=n, genus=g)
     check_genus(BadInput, g)
-    if n % 2 != 0:
-        raise BadInput(f"n must be even, got {n}")
+    _check_n(n)
     return ((g - 1) * n * n // 4) % 2
 
 
@@ -424,12 +424,14 @@ def tensor_by_line_bundle(
 ) -> tuple[tuple[int, ...], int]:
     """Stiefel-Whitney classes of W tensor F for a real line bundle F.
 
-    For even rank w1 is unchanged and w2 picks up the cup product w1 . f1,
-    evaluated through the standard symplectic pairing on the surface.
+    For even rank n >= 2 w1 is unchanged and w2 picks up the cup product
+    w1 . f1, evaluated through the standard symplectic pairing on the
+    surface; the w1(F)^2 term vanishes on an orientable surface, so rank 2
+    follows the same formula.
     """
     check_ints(BadInput, rank=n)
-    if n % 2 != 0:
-        raise BadInput(f"rank must be even, got {n}")
+    if n % 2 != 0 or n < 2:
+        raise BadInput(f"rank must be even and >= 2, got {n}")
     w1, f1 = tuple(w1), tuple(f1)
     check_mu1_length(BadInput, w1)
     if len(w1) != len(f1):

@@ -84,6 +84,7 @@ def read_rep_file(path: str) -> surfrep.SurfaceRep:
         raise CliError(f"parse error: n = {n} exceeds the supported maximum {linalg.MAX_DIM}")
     if genus > MAX_FILE_GENUS:
         raise CliError(f"parse error: genus = {genus} exceeds the supported maximum {MAX_FILE_GENUS}")
+    surfrep.check_genus_and_n(genus, n)
     if not isinstance(generators, list) or len(generators) != 2 * genus:
         raise CliError(f"parse error: expected {2 * genus} generator matrices")
     matrices = []

@@ -151,9 +151,6 @@ class RatMatrix(Frozen):
         den = self.den
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix._of(tuple([*zip(*self.num)]), self.den)
 

@@ -78,6 +78,18 @@ def even_n(n: int, maximum: int | None) -> bool:
     return n % 2 == 0 and n >= 4 and (maximum is None or n <= maximum)
 
 
+def check_genus_and_n(genus: int, n: int) -> None:
+    """Raise `linalg.BadShape` unless genus >= 2 and n is even with
+    4 <= n <= MAX_DIM, both ints: the domain of `SurfaceRep`, which a
+    representation file is checked against before its generators are read."""
+    if type(genus) is not int or type(n) is not int:
+        raise linalg.BadShape(f"genus and n must be ints, got {genus!r} and {n!r}")
+    check_genus(linalg.BadShape, genus)
+    # above MAX_DIM no product, factorisation or spin obstruction is computed
+    if not even_n(n, linalg.MAX_DIM):
+        raise linalg.BadShape(f"n must be even with 4 <= n <= {linalg.MAX_DIM}, got {n}")
+
+
 class InvariantClass(Frozen):
     """Pair of topological invariants (mu1, mu2) of a projective bundle.
 
@@ -130,12 +142,7 @@ class SurfaceRep(Frozen):
         """Certify the generators and the surface relation, and compute the
         invariant class.  The name is the one the benchmark's tracer wraps as
         its certification span."""
-        if type(self.genus) is not int or type(self.n) is not int:
-            raise linalg.BadShape(f"genus and n must be ints, got {self.genus!r} and {self.n!r}")
-        check_genus(linalg.BadShape, self.genus)
-        # above MAX_DIM no product, factorisation or spin obstruction is computed
-        if not even_n(self.n, linalg.MAX_DIM):
-            raise linalg.BadShape(f"n must be even with 4 <= n <= {linalg.MAX_DIM}, got {self.n}")
+        check_genus_and_n(self.genus, self.n)
         gens = tuple(self.gens)
         object.__setattr__(self, "gens", gens)
         if len(gens) != 2 * self.genus:

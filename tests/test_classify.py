@@ -115,6 +115,9 @@ class TestGroups:
             "violates its order 2",
         ),
         (lambda: z0(5, 2), "n must be even"),
+        (lambda: z0(-2, 2), "n must be even and >= 4, got -2"),
+        (lambda: z0(0, 2), "n must be even and >= 4, got 0"),
+        (lambda: z0(2, 2), "n must be even and >= 4, got 2"),
         (
             lambda: components_per_class(InvariantClass((0,) * 6, Mu2Value.ZERO), 4, 2),
             "mu1 length 6, expected 4",
@@ -140,7 +143,8 @@ class TestGroups:
         (lambda: po_kernel_label(5, (1,)), "n must be even and >= 4, got 5"),
     ],
     ids=[
-        "reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "mu1-length",
+        "reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "z0-n-negative",
+        "z0-n-zero", "z0-n-two", "mu1-length",
         "z0-genus-1", "z0-genus-negative", "lifts-to-target-str", "lifts-to-class-tuple",
         "per-class-tuple", "project-untwisted", "twisted-genus-0", "twisted-odd-length",
         "tensor-genus-0", "tensor-genus-1", "kernel-label-outside-pi1", "kernel-label-odd-n",
@@ -387,13 +391,19 @@ class TestTensorByLineBundle:
             ((True, 0, 0, 0), 0, (0, 1, 0, 0), 4),
             ((1, 0, 0, 0), 0, (0, 1.0, 0, 0), 4),
             ((1, 0, 0, 0), False, (0, 1, 0, 0), 4),
+            ((1, 0, 0, 0), 0, (0, 1, 0, 0), -2),
+            ((1, 0, 0, 0), 0, (0, 1, 0, 0), 0),
+            ((1, 0, 0, 0), 0, (0, 1, 0, 0), 3),
         ],
         ids=["float-rank", "bool-rank", "w1-and-f1-not-bits", "w2-not-a-bit",
-             "bool-in-w1", "float-in-f1", "bool-w2"],
+             "bool-in-w1", "float-in-f1", "bool-w2", "negative-rank", "zero-rank", "odd-rank"],
     )
     def test_rank_must_be_an_int_and_classes_bits(self, w1, w2, f1, n):
         with pytest.raises(BadInput):
             tensor_by_line_bundle(w1, w2, f1, n)
+
+    def test_rank_two_follows_the_even_rank_formula(self):
+        assert tensor_by_line_bundle((1, 0, 0, 0), 0, (0, 1, 0, 0), 2) == ((1, 0, 0, 0), 1)
 
     @settings(max_examples=50, deadline=None)
     @given(

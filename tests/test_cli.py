@@ -124,6 +124,25 @@ class TestInvariants:
             f"parse error: genus = {MAX_FILE_GENUS + 1} exceeds the supported maximum {MAX_FILE_GENUS}\n"
         )
 
+    @pytest.mark.parametrize(
+        "genus,n,message",
+        [
+            (-1, 4, "genus must be >= 2, got -1"),
+            (0, 4, "genus must be >= 2, got 0"),
+            (1, 4, "genus must be >= 2, got 1"),
+            (2, -4, "n must be even with 4 <= n <= 16, got -4"),
+            (2, 0, "n must be even with 4 <= n <= 16, got 0"),
+            (2, 2, "n must be even with 4 <= n <= 16, got 2"),
+            (2, 3, "n must be even with 4 <= n <= 16, got 3"),
+        ],
+        ids=["genus-negative", "genus-0", "genus-1", "n-negative", "n-0", "n-2", "n-3"],
+    )
+    def test_genus_and_n_are_checked_before_the_generators(self, capsys, tmp_path, genus, n, message):
+        # four empty generators: the genus or n is reported, not their count or shape
+        doc = {"n": n, "genus": genus, "generators": [[]] * 4}
+        code, out, err = run(capsys, "invariants", write_doc(tmp_path, doc))
+        assert (code, out, err) == (1, "", f"parse error: {message}\n")
+
     @pytest.mark.parametrize("entry", ["1e10000000", "0.5", " 1", "1_0", "1/0"])
     def test_entry_outside_integer_or_p_over_q_exits_1(self, capsys, tmp_path, entry):
         doc = json.loads(json.dumps(TRIVIAL))

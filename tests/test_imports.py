@@ -4,6 +4,7 @@ command is a new interpreter, so the import graph is most of its cost."""
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,28 +30,6 @@ def test_cli_import_graph():
     # the benchmark's tracer reads every layer from sys.modules after this import
     assert {f"pglrep.{layer}" for layer in LAYERS} <= loaded
 
-
-# the names the package re-exported when it imported every layer eagerly
-EXPORTS = {
-    "clifford": (
-        "CliffordElement", "commutator_product", "lift_factors", "lift_orthogonal",
-        "twisted_conjugation_matrix", "volume_element",
-    ),
-    "spin": ("KernelElement", "spinor_commutator"),
-    "classify": (
-        "ComponentReport", "FinAbGroup", "GroupAction", "LiftTarget", "TwistedClass",
-        "classify_bundles", "component_count", "components_per_class", "egl_component_counts",
-        "gamma_subgroup", "invariant_classes", "lifts_to", "moduli_dimension", "po_bundle_data",
-        "project_twisted", "tensor_by_line_bundle", "z0",
-    ),
-    "construct": ("PairKind", "build_representation", "catalogue_matrix", "pair_for"),
-    "linalg": ("OrthComponent", "RatMatrix", "commutator", "component", "reflection_vectors"),
-    "poincare": ("IntPolynomial", "poly_divexact", "pt_sl3", "pt_so3"),
-    "surfrep": (
-        "InvariantClass", "Mu2Value", "RelationSign", "SurfaceRep", "delta1", "delta2",
-        "invariants", "tilde_delta",
-    ),
-}
 
 # Prints, as its last line, the modules of the package whose code ran: the
 # audit hook sees each module body as it is passed to exec.
@@ -146,21 +125,26 @@ def test_certification_runs_spin_and_never_clifford(body, argv, expected):
 
 def test_bare_import_executes_no_layer():
     # every library layer is registered all the same
-    body = f"import pglrep\nassert all('pglrep.' + m in sys.modules for m in {tuple(EXPORTS)!r})"
+    layers = ("linalg", "spin", "clifford", "surfrep", "construct", "classify", "poincare")
+    body = f"import pglrep\nassert all('pglrep.' + m in sys.modules for m in {layers!r})"
     assert executed_modules(body) == {"__init__"}
 
 
-@pytest.mark.parametrize("layer", sorted(EXPORTS))
-def test_public_names_resolve_to_their_layer(layer):
+def test_each_name_has_one_import_path():
+    # a public name is imported from its layer, never from the package
+    with pytest.raises(ImportError, match="RatMatrix"):
+        exec("from pglrep import RatMatrix", {})
     namespace = {}
-    exec(f"from pglrep import {', '.join(EXPORTS[layer])}", namespace)
-    module = importlib.import_module(f"pglrep.{layer}")
-    for name in EXPORTS[layer]:
-        assert namespace[name] is getattr(module, name), name
+    exec("from pglrep import surfrep\nfrom pglrep.linalg import RatMatrix", namespace)
+    assert namespace["surfrep"] is importlib.import_module("pglrep.surfrep")
+    assert namespace["RatMatrix"] is importlib.import_module("pglrep.linalg").RatMatrix
 
 
-def test_all_lists_exactly_the_public_names():
-    assert sorted(pglrep.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+def test_readme_library_example():
+    # the one documented use of the package namespace, run as written
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^## Library example\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_unknown_name_raises_attribute_error():

@@ -152,7 +152,7 @@ def test_only_integer_and_p_over_q_strings_are_rationals(text):
 
 def test_matrix_equality_and_blocks():
     a = RatMatrix([["1/2", "1/2"], [0, 1]])
-    assert a.entry(0, 1) == Fraction(1, 2)
+    assert a.rows[0][1] == Fraction(1, 2)
     assert RatMatrix.block_diag(a, RatMatrix.identity(1)).n == 3
     assert a.transpose().transpose() == a
 
@@ -231,7 +231,7 @@ def test_operations_match_fraction_reference(data, n):
     for m in (ma, ma * mb, ma.transpose(), -ma):
         assert_lowest_terms(m)
     assert as_lists(ma) == a
-    assert all(ma.entry(i, j) == a[i][j] for i in range(n) for j in range(n))
+    assert all(ma.rows[i][j] == a[i][j] for i in range(n) for j in range(n))
     assert as_lists(ma * mb) == ref_mul(a, b)
     assert as_lists(ma.transpose()) == ref_transpose(a)
     assert as_lists(-ma) == [[-x for x in row] for row in a]
@@ -507,7 +507,7 @@ def test_reflection_vectors_match_the_single_denominator_oracle(data, n):
     # one entry moved by q != -2 a_ij changes the norm of its column
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     j = data.draw(st.integers(min_value=0, max_value=n - 1))
-    q = data.draw(randmat.nonzero_fractions.filter(lambda q: q != -2 * a.entry(i, j)))
+    q = data.draw(randmat.nonzero_fractions.filter(lambda q: q != -2 * a.rows[i][j]))
     rows = as_lists(a)
     rows[i][j] += q
     perturbed = RatMatrix(rows)

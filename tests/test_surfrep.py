@@ -399,7 +399,7 @@ def test_relation_violations_with_a_trace_close_to_n(n, anticommuting):
     for near in (_near_miss_handle(random.Random(seed), n) for seed in range(4)):
         gens = (*first, *near)
         product = reduce(mul, (commutator(a, b) for a, b in zip(gens[::2], gens[1::2])))
-        trace = sum(product.entry(i, i) for i in range(n))
+        trace = sum(product.rows[i][i] for i in range(n))
         assert n - 4 <= (-trace if anticommuting else trace) < n
         assert _oracle_sign(gens) is None
         _assert_sign_cold_and_warm(gens, None)
