@@ -13,8 +13,10 @@ the dimension and Stiefel-Whitney tensor formulas.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
+from operator import mul
 
 from .frozen import Frozen
 from .surfrep import InvariantClass, Mu2Value, check_genus, check_ints, check_mu1_length, even_n
@@ -45,22 +47,22 @@ class FinAbGroup(Frozen):
     __slots__ = _fields = ("orders",)
 
     def __init__(self, orders: Sequence[int]):
-        object.__setattr__(self, "orders", tuple(orders))
+        # a non-iterable, such as 5, gives no orders, so the check below refuses it
+        object.__setattr__(self, "orders", tuple(orders) if isinstance(orders, Iterable) else ())
         if not self.orders or any(type(k) is not int or k < 2 for k in self.orders):
             raise BadInput("cyclic factor orders must all be ints >= 2")
         if self.size() > MAX_GROUP_SIZE:
             raise BadInput(f"group size exceeds the cap {MAX_GROUP_SIZE}")
 
     def size(self) -> int:
-        out = 1
-        for k in self.orders:
-            out *= k
-        return out
+        return math.prod(self.orders)
 
     def zero(self) -> Element:
         return (0,) * len(self.orders)
 
     def reduce(self, v: Sequence[int]) -> Element:
+        if not isinstance(v, Sequence):
+            raise BadInput(f"element must be a sequence of ints, got {v!r}")
         if len(v) != len(self.orders):
             raise BadInput("element has the wrong number of coordinates")
         # True % 2 and 2.5 % 4 both work, so only a type check keeps them out
@@ -87,17 +89,18 @@ class GroupAction(Frozen):
     generator_images[k][j] is the image in pi_1 of the j-th pi_1 generator
     under the k-th pi_0 generator.  Each map must be an automorphism whose
     order divides the order of the acting generator, and the maps must
-    commute, so that `apply` is an action of the abelian pi_0.
+    commute, so that `apply` is an action of the abelian pi_0.  The checks run
+    on each map tabulated once, and `apply` moves along the table's cycles.
     """
 
-    __slots__ = _fields = ("pi0", "pi1", "generator_images")
+    _fields = ("pi0", "pi1", "generator_images")
+    __slots__ = (*_fields, "_cycles")
 
     def __init__(
-        self,
-        pi0: FinAbGroup,
-        pi1: FinAbGroup,
-        generator_images: Sequence[Sequence[Sequence[int]]],
+        self, pi0: FinAbGroup, pi1: FinAbGroup, generator_images: Sequence[Sequence[Sequence[int]]]
     ):
+        if not isinstance(pi0, FinAbGroup) or not isinstance(pi1, FinAbGroup):
+            raise BadInput(f"pi0 and pi1 must be FinAbGroups, got {pi0!r} and {pi1!r}")
         if len(generator_images) != len(pi0.orders):
             raise BadInput("need one endomorphism per pi0 generator")
         images = tuple(tuple(pi1.reduce(v) for v in block) for block in generator_images)
@@ -107,66 +110,63 @@ class GroupAction(Frozen):
         for block in images:
             if len(block) != len(pi1.orders):
                 raise BadInput("endomorphism must list one image per pi1 generator")
-        for k, order in enumerate(pi0.orders):
-            seen = {self._apply_generator(k, v) for v in pi1.elements()}
-            if len(seen) != pi1.size():
+        elements = list(pi1.elements())
+        tables, cycles = [], []
+        for k, (order, block) in enumerate(zip(pi0.orders, images)):
+            rows = tuple(zip(*block))  # rows[i][j] is coordinate i of the j-th image
+            table = {v: pi1.reduce([sum(map(mul, r, v)) for r in rows]) for v in elements}
+            if len(set(table.values())) != len(elements):
                 raise BadInput(f"pi0 generator {k} does not act by an automorphism")
-            for v in pi1.elements():
-                w = v
-                for _ in range(order):
-                    w = self._apply_generator(k, w)
-                if w != v:
-                    raise BadInput(f"pi0 generator {k} violates its order {order}")
-        for k, j in itertools.combinations(range(len(pi0.orders)), 2):
-            for v in pi1.elements():
-                kj = self._apply_generator(k, self._apply_generator(j, v))
-                if kj != self._apply_generator(j, self._apply_generator(k, v)):
-                    raise BadInput(f"pi0 generators {k} and {j} act by maps that do not commute")
-
-    def _apply_generator(self, k: int, v: Element) -> Element:
-        acc = [0] * len(self.pi1.orders)
-        for coeff, image in zip(v, self.generator_images[k]):
-            for j, x in enumerate(image):
-                acc[j] += coeff * x
-        return self.pi1.reduce(acc)
+            where = {}  # element -> (its cycle, its place in the cycle)
+            for v in elements:
+                if v not in where:
+                    cycle = [v]
+                    while (w := table[cycle[-1]]) != v:
+                        cycle.append(w)
+                    if order % len(cycle):  # v is fixed by the order-th power
+                        raise BadInput(f"pi0 generator {k} violates its order {order}")
+                    where.update((w, (cycle, i)) for i, w in enumerate(cycle))
+            tables.append(table)
+            cycles.append(where)
+        for (k, a), (j, b) in itertools.combinations(enumerate(tables), 2):
+            if any(a[b[v]] != b[a[v]] for v in elements):
+                raise BadInput(f"pi0 generators {k} and {j} act by maps that do not commute")
+        object.__setattr__(self, "_cycles", tuple(cycles))
 
     def apply(self, g0: Element, v: Element) -> Element:
         """Act by the pi_0 element g0 on the pi_1 element v."""
-        g0 = self.pi0.reduce(g0)
         out = self.pi1.reduce(v)
-        for k, times in enumerate(g0):
-            for _ in range(times):
-                out = self._apply_generator(k, out)
+        for times, where in zip(self.pi0.reduce(g0), self._cycles):
+            cycle, i = where[out]
+            out = cycle[(i + times) % len(cycle)]
         return out
 
 
-def _closure(pi1: FinAbGroup, generators: Iterable[Element]) -> frozenset[Element]:
-    subgroup = {pi1.zero()}
-    gens = {pi1.reduce(v) for v in generators}
-    frontier = list(subgroup)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = pi1.add(a, b)
-                if c not in subgroup:
-                    subgroup.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(subgroup)
+def _units(rank: int) -> list[Element]:
+    return [tuple([int(i == j) for i in range(rank)]) for j in range(rank)]
 
 
 def gamma_subgroup(action: GroupAction, mu1_image: Iterable[Element]) -> frozenset[Element]:
     """Correction subgroup of pi_1 generated by v - g0.v over the image of mu1.
 
-    Computed by brute-force closure; pi_1 is finite and small here.
+    v -> v - g0.v is a homomorphism, so the generators v of pi_1 suffice.
+    Gamma grows only by the x = v - g0.v not yet in it, a coset of the old
+    Gamma at a time, so each x at least doubles it: three reductions per
+    pi_1 generator and image element, and under 2 |Gamma| additions.
     """
-    gens = []
+    if not isinstance(action, GroupAction):
+        raise BadInput(f"need a GroupAction, got {action!r}")
+    pi1 = action.pi1
     image = [action.pi0.reduce(g0) for g0 in mu1_image]
-    for v in action.pi1.elements():
-        for g0 in image:
-            gens.append(action.pi1.sub(v, action.apply(g0, v)))
-    return _closure(action.pi1, gens)
+    gamma = {pi1.zero()}
+    for g0, v in itertools.product(image, _units(len(pi1.orders))):
+        x = pi1.sub(v, action.apply(g0, v))
+        if x not in gamma:
+            layer = list(gamma)
+            # H + x, H + 2x, ... are new cosets until the first that is H again
+            while (layer := [pi1.add(w, x) for w in layer])[0] not in gamma:
+                gamma.update(layer)
+    return frozenset(gamma)
 
 
 def classify_bundles(action: GroupAction, mu1_image: Iterable[Element]) -> list[Element]:
@@ -176,18 +176,25 @@ def classify_bundles(action: GroupAction, mu1_image: Iterable[Element]) -> list[
     invariant has the given image.  Representatives are the lexicographically
     least coefficient vectors in each orbit, returned sorted.  pi_0 preserves
     Gamma, because its generators act by commuting automorphisms:
-    g.(v - h.v) = w - h.w for w = g.v.
+    g.(v - h.v) = w - h.w for w = g.v.  Walking pi_1 in increasing order meets
+    each coset, then each orbit of cosets, first at its least element: one
+    addition per element and one action per coset and pi_0 generator.
     """
     gamma = gamma_subgroup(action, mu1_image)
-
-    def coset_rep(v: Element) -> Element:
-        return min(action.pi1.add(v, w) for w in gamma)
-
-    reps = set()
+    least: dict[Element, Element] = {}  # element -> least element of its coset
     for v in action.pi1.elements():
-        orbit = {coset_rep(action.apply(g0, v)) for g0 in action.pi0.elements()}
-        reps.add(min(orbit))
-    return sorted(reps)
+        if v not in least:
+            least.update((action.pi1.add(v, w), v) for w in gamma)
+    reps, seen, units = [], set(), _units(len(action.pi0.orders))
+    for c in dict.fromkeys(least.values()):
+        if c not in seen:
+            reps.append(c)
+            orbit = [c]
+            while orbit:
+                if (u := orbit.pop()) not in seen:
+                    seen.add(u)
+                    orbit.extend(least[action.apply(g, u)] for g in units)
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +233,6 @@ def po_kernel_label(n: int, v: Element) -> str:
     if type(v) is not tuple or v not in names:
         raise BadInput(f"{v!r} is not an element of pi_1 of PO({n})")
     return names[v]
-
-
-def _zero_mu1(g: int) -> tuple[int, ...]:
-    return (0,) * (2 * g)
 
 
 def _check_n(n: int) -> None:
@@ -295,12 +298,6 @@ def z0(n: int, g: int) -> int:
     return ((g - 1) * n * n // 4) % 2
 
 
-def _z0_mu2(n: int, g: int) -> Mu2Value:
-    # z0 is a w2 value; over mu1 = 0 with an even-degree twist, w2 = 0 and
-    # w2 = 1 correspond to mu2 = 0 and mu2 = 1 respectively.
-    return Mu2Value.ONE if z0(n, g) else Mu2Value.ZERO
-
-
 def component_count(n: int, g: int) -> int:
     """Number of connected components of the representation space in PGL(n, R)."""
     if type(n) is not int or type(g) is not int or g < 2 or n < 2:
@@ -324,7 +321,9 @@ def components_per_class(cls: InvariantClass, n: int, g: int) -> int:
         raise BadInput(f"class must be an InvariantClass, got {cls!r}")
     if len(cls.mu1) != 2 * g:
         raise BadInput(f"class has mu1 length {len(cls.mu1)}, expected {2 * g}")
-    if cls.mu1_is_zero and cls.mu2 == _z0_mu2(n, g):
+    # z0 is a w2 value; over mu1 = 0 with an even-degree twist, w2 = 0 and
+    # w2 = 1 correspond to mu2 = 0 and mu2 = 1 respectively.
+    if cls.mu1_is_zero and cls.mu2 == (Mu2Value.ONE if z0(n, g) else Mu2Value.ZERO):
         return 2
     return 1
 
@@ -408,7 +407,7 @@ def egl_component_counts(deg: int, g: int, n: int) -> ComponentReport:
     if deg == 0:
         z = z0(n, g)
         for w2 in (0, 1):
-            cls = TwistedClass(_zero_mu1(g), 0, w2)
+            cls = TwistedClass((0,) * (2 * g), 0, w2)
             entries.append((cls, 2 if w2 == z else 1, (2 ** (2 * g) + 1) if w2 == z else 1))
         for mu1bar in itertools.product((0, 1), repeat=2 * g):
             if any(mu1bar):

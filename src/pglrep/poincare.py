@@ -57,6 +57,8 @@ class IntPolynomial(Frozen):
         return len(self.coeffs) - 1
 
     def __call__(self, t: int) -> int:
+        if type(t) is not int:
+            raise TypeError(f"polynomials are evaluated at ints, got {t!r}")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * t + c

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -57,10 +58,17 @@ Z = (0, 0, 0, 0)
         lambda: z0(4.0, 2),
         lambda: moduli_dimension(4.5, 2),
         lambda: moduli_dimension(4, 2.0),
+        lambda: GroupAction((2,), FinAbGroup((4,)), (((3,),),)),
+        lambda: gamma_subgroup(None, []),
+        lambda: classify_bundles(None, []),
+        lambda: FinAbGroup(5),
+        lambda: FinAbGroup((2,)).reduce(iter([1])),
+        lambda: classify_bundles(po_bundle_data(4), [1]),
     ],
 )
 def test_non_int_orders_degrees_and_sizes_rejected(make):
-    # 2.0 == 2 and True == 1: only a type check tells these from valid input
+    # 2.0 == 2 and True == 1: only a type check tells these from valid input;
+    # the last six raised AttributeError or a bare TypeError
     with pytest.raises(BadInput):
         make()
 
@@ -139,6 +147,7 @@ class TestGroups:
         (lambda: TwistedClass((0, 1, 0), 0), "even length 2g with g >= 2"),
         (lambda: tensor_by_line_bundle((), 0, (), 4), "even length 2g with g >= 2"),
         (lambda: tensor_by_line_bundle((0, 1), 1, (1, 0), 4), "even length 2g with g >= 2"),
+        (lambda: tensor_by_line_bundle(Z, 1, (1, 0) * 3, 4), "w1 and f1 must have the same"),
         (lambda: po_kernel_label(4, (2, 0)), "not an element of pi_1 of PO"),
         (lambda: po_kernel_label(5, (1,)), "n must be even and >= 4, got 5"),
     ],
@@ -147,7 +156,8 @@ class TestGroups:
         "z0-n-zero", "z0-n-two", "mu1-length",
         "z0-genus-1", "z0-genus-negative", "lifts-to-target-str", "lifts-to-class-tuple",
         "per-class-tuple", "project-untwisted", "twisted-genus-0", "twisted-odd-length",
-        "tensor-genus-0", "tensor-genus-1", "kernel-label-outside-pi1", "kernel-label-odd-n",
+        "tensor-genus-0", "tensor-genus-1", "tensor-length-mismatch", "kernel-label-outside-pi1",
+        "kernel-label-odd-n",
     ],
 )
 def test_shape_and_range_errors(make, match):
@@ -227,6 +237,229 @@ class TestClassifyBundles:
                 assert {action.apply(g0, v) for v in gamma} == gamma
             reps = classify_bundles(action, image)
             assert reps and reps == sorted(reps)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force reference: the checks, the closure and the orbit loop that the
+# cycle tables and the coset walk replaced.  Each map is applied from its
+# images, `order` times per element for the order check, and every pi_0
+# element and every element of Gamma is scanned per element of pi_1.
+# ---------------------------------------------------------------------------
+
+
+def _ref_apply_generator(pi1, block, v):
+    acc = [0] * len(pi1.orders)
+    for coeff, image in zip(v, block):
+        for j, x in enumerate(image):
+            acc[j] += coeff * x
+    return pi1.reduce(acc)
+
+
+def _ref_check(pi0, pi1, generator_images):
+    """GroupAction's checks, in its order."""
+    if len(generator_images) != len(pi0.orders):
+        raise BadInput("need one endomorphism per pi0 generator")
+    images = tuple(tuple(pi1.reduce(v) for v in block) for block in generator_images)
+    for block in images:
+        if len(block) != len(pi1.orders):
+            raise BadInput("endomorphism must list one image per pi1 generator")
+    for k, order in enumerate(pi0.orders):
+        seen = {_ref_apply_generator(pi1, images[k], v) for v in pi1.elements()}
+        if len(seen) != pi1.size():
+            raise BadInput(f"pi0 generator {k} does not act by an automorphism")
+        for v in pi1.elements():
+            w = v
+            for _ in range(order):
+                w = _ref_apply_generator(pi1, images[k], w)
+            if w != v:
+                raise BadInput(f"pi0 generator {k} violates its order {order}")
+    for k, j in itertools.combinations(range(len(pi0.orders)), 2):
+        for v in pi1.elements():
+            kj = _ref_apply_generator(pi1, images[k], _ref_apply_generator(pi1, images[j], v))
+            if kj != _ref_apply_generator(pi1, images[j], _ref_apply_generator(pi1, images[k], v)):
+                raise BadInput(f"pi0 generators {k} and {j} act by maps that do not commute")
+
+
+def _ref_apply(action, g0, v):
+    out = action.pi1.reduce(v)
+    for k, times in enumerate(action.pi0.reduce(g0)):
+        for _ in range(times):
+            out = _ref_apply_generator(action.pi1, action.generator_images[k], out)
+    return out
+
+
+def _ref_gamma(action, mu1_image):
+    pi1 = action.pi1
+    image = [action.pi0.reduce(g0) for g0 in mu1_image]
+    gens = {pi1.sub(v, _ref_apply(action, g0, v)) for v in pi1.elements() for g0 in image}
+    subgroup = {pi1.zero()}
+    frontier = list(subgroup)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                c = pi1.add(a, b)
+                if c not in subgroup:
+                    subgroup.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(subgroup)
+
+
+def _ref_classify(action, mu1_image):
+    gamma = _ref_gamma(action, mu1_image)
+
+    def coset_rep(v):
+        return min(action.pi1.add(v, w) for w in gamma)
+
+    reps = set()
+    for v in action.pi1.elements():
+        orbit = {coset_rep(_ref_apply(action, g0, v)) for g0 in action.pi0.elements()}
+        reps.add(min(orbit))
+    return sorted(reps)
+
+
+def _verdict(make):
+    """None if make() runs, else the message of the BadInput it raises."""
+    try:
+        make()
+    except BadInput as exc:
+        return str(exc)
+    return None
+
+
+def _image_subsets(pi0, rng):
+    """Every subset of a pi_0 of at most 4 elements, else the zero, the whole
+    group and a seeded random subset."""
+    elements = list(pi0.elements())
+    if len(elements) <= 4:
+        sizes = range(len(elements) + 1)
+        return [list(c) for r in sizes for c in itertools.combinations(elements, r)]
+    return [[pi0.zero()], elements, rng.sample(elements, rng.randint(1, 4))]
+
+
+# every action this file builds, by (pi_0 orders, pi_1 orders, generator images)
+_ACTIONS = {
+    "po-klein": ((2,), (2, 2), (((1, 0), (1, 1)),)),
+    "po-cyclic": ((2,), (4,), (((3,),),)),
+    "not-automorphism": ((2,), (2, 2), (((0, 0), (1, 1)),)),
+    "doubling": ((2,), (4,), (((2,),),)),
+    "float-image": ((2,), (4,), (((3.0,),),)),
+    "endomorphism-count": ((2, 2), (4,), (((3,),),)),
+    "image-count": ((2,), (2, 2), (((1, 0),),)),
+    "three-cycle": ((2,), (2, 2), (((0, 1), (1, 1)),)),
+    "identity": ((2,), (2, 2), (((1, 0), (0, 1)),)),
+    "swap": ((2,), (2, 2), (((0, 1), (1, 0)),)),
+    "swap-and-shear": ((2, 2), (2, 2), (((0, 1), (1, 0)), ((1, 0), (1, 1)))),
+    "swap-and-negation": ((2, 2), (4, 4), (((0, 1), (1, 0)), ((3, 0), (0, 3)))),
+    "trivial-z64": ((64,), (64,), (((1,),),)),
+    "swap-and-negation-z16": ((2, 2), (16, 16), (((0, 1), (1, 0)), ((15, 0), (0, 15)))),
+}
+
+
+def _random_actions(seed, count):
+    """Seeded images: half with random entries, half a unit scalar times the
+    identity, the swap or the shear, which may miss the order or, with the
+    shear, fail to commute."""
+    rng = random.Random(seed)
+    shapes = [((2,), (4,)), ((2,), (6,)), ((4,), (5,)), ((3,), (7,)), ((2,), (2, 4)),
+              ((2,), (3, 3)), ((2, 2), (4, 4)), ((2, 4), (5, 5)), ((4,), (8,)), ((2, 2), (3,)),
+              ((2, 2), (2, 2)), ((2, 4), (2, 2)), ((4, 4), (3, 3))]
+    for _ in range(count):
+        pi0, pi1 = rng.choice(shapes)
+        rank = len(pi1)
+        if rng.random() < 0.5:
+            images = tuple(
+                tuple(tuple(rng.randrange(-1, k) for k in pi1) for _ in range(rank)) for _ in pi0
+            )
+        else:
+            square = rank == 2 and pi1[0] == pi1[1]
+            identity = tuple(tuple(int(i == j) for i in range(rank)) for j in range(rank))
+            maps = [identity, ((0, 1), (1, 0)), ((1, 0), (1, 1))] if square else [identity]
+            images = tuple(
+                tuple(tuple(u * x for x in row) for row in rng.choice(maps))
+                for u in (rng.randrange(1, max(pi1)) for _ in pi0)
+            )
+        yield pi0, pi1, images
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("case", list(_ACTIONS), ids=list(_ACTIONS))
+    def test_listed_actions(self, case):
+        pi0, pi1, images = _ACTIONS[case]
+        self._compare(FinAbGroup(pi0), FinAbGroup(pi1), images, random.Random(case))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_random_images(self, seed):
+        accepted = 0
+        rng = random.Random(seed)
+        for pi0, pi1, images in _random_actions(seed, 60):
+            accepted += self._compare(FinAbGroup(pi0), FinAbGroup(pi1), images, rng)
+        assert accepted >= 5
+
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_po_bundle_data_every_image_subset(self, n):
+        action = po_bundle_data(n)
+        for image in _image_subsets(action.pi0, None):
+            assert gamma_subgroup(action, image) == _ref_gamma(action, image)
+            assert classify_bundles(action, image) == _ref_classify(action, image)
+
+    @pytest.mark.parametrize("image", [[(0, 0)], [(True,)], [(2.0,)], [1], [(1,), "1"]])
+    def test_bad_images_refused_alike(self, image):
+        action = po_bundle_data(6)
+        for new, ref in ((gamma_subgroup, _ref_gamma), (classify_bundles, _ref_classify)):
+            message = _verdict(lambda: new(action, image))
+            assert message is not None and message == _verdict(lambda: ref(action, image))
+
+    @staticmethod
+    def _compare(pi0, pi1, images, rng):
+        """Same verdict and message; when accepted, the same apply, Gamma and
+        classes.  Returns whether the action was accepted."""
+        message = _verdict(lambda: GroupAction(pi0, pi1, images))
+        assert message == _verdict(lambda: _ref_check(pi0, pi1, images))
+        if message is not None:
+            return False
+        action = GroupAction(pi0, pi1, images)
+        for g0 in pi0.elements():
+            assert all(action.apply(g0, v) == _ref_apply(action, g0, v) for v in pi1.elements())
+        # the brute-force Gamma costs |Gamma| additions per generator, so on a
+        # larger pi_1 only the zero and the whole of pi_0 are compared
+        if pi1.size() > 64:
+            subsets = [[pi0.zero()], list(pi0.elements())]
+        else:
+            subsets = _image_subsets(pi0, rng)
+        for image in subsets:
+            assert gamma_subgroup(action, image) == _ref_gamma(action, image)
+            assert classify_bundles(action, image) == _ref_classify(action, image)
+        return True
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["trivial-z64", "swap-and-negation-z16"],
+)
+def test_reductions_linear_in_pi1(monkeypatch, case):
+    """FinAbGroup.reduce, the unit of group work, runs a bounded number of
+    times per element of pi_1.  The brute-force classifier reduced 4 161 times
+    to build trivial-z64 and 286 785 to classify its full image, and 2 564 and
+    20 993 times for swap-and-negation-z16."""
+    pi0_orders, pi1_orders, images = _ACTIONS[case]
+    pi0, pi1 = FinAbGroup(pi0_orders), FinAbGroup(pi1_orders)
+    calls = []
+    reduce = FinAbGroup.reduce
+    monkeypatch.setattr(FinAbGroup, "reduce", lambda self, v: calls.append(v) or reduce(self, v))
+    action = GroupAction(pi0, pi1, images)
+    built = len(calls)
+    image = list(pi0.elements())
+    classify_bundles(action, image)
+    classified = len(calls) - built
+    k, rank = len(pi0.orders), len(pi1.orders)
+    # one per image vector, then one per element of pi_1 and pi_0 generator
+    assert built <= k * (rank + pi1.size())
+    # three per image element and pi_1 generator for Gamma's generators, under
+    # 2 |Gamma| to grow it, one per element for its cosets and two per coset
+    # and pi_0 generator for the orbits
+    assert classified <= len(image) * (1 + 3 * rank) + (3 + 2 * k) * pi1.size()
 
 
 class TestInvariantClasses:

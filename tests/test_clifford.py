@@ -104,6 +104,12 @@ class TestProduct:
         with pytest.raises(ValueError):
             CliffordElement.scalar(2, 1) * CliffordElement.scalar(3, 1)
 
+    def test_subtraction(self):
+        x = CliffordElement(4, {0b0110: Fraction(2, 3), 0: 1})
+        y = CliffordElement(4, {0b0110: Fraction(1, 3), 0b1: 2})
+        assert x - y == CliffordElement(4, {0b0110: Fraction(1, 3), 0: 1, 0b1: -2})
+        assert (x - x).terms == {}
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             CliffordElement.scalar(17, 1)

@@ -35,11 +35,17 @@ class TestArithmetic:
             lambda p: p ** 2.0,
             lambda p: poly_divexact(p, 3),
             lambda p: poly_divexact((1, 1), p),
+            lambda p: p(1.5),
+            lambda p: p(True),
         ],
-        ids=["add-int", "sub-int", "int-sub", "pow-bool", "pow-float", "divexact-int", "divexact-tuple"],
+        ids=[
+            "add-int", "sub-int", "int-sub", "pow-bool", "pow-float", "divexact-int",
+            "divexact-tuple", "call-float", "call-bool",
+        ],
     )
     def test_non_polynomial_operands_rejected(self, make):
-        # these raised AttributeError, and p ** True returned p
+        # these raised AttributeError, p ** True returned p, p(1.5) gave 2.5
+        # and p(True) read True as 1
         with pytest.raises(TypeError):
             make(IntPolynomial((1, 1)))
 
@@ -57,6 +63,9 @@ class TestArithmetic:
 
     def test_add(self):
         assert IntPolynomial((1, 1)) + IntPolynomial((0, -1)) == IntPolynomial((1,))
+
+    def test_add_shorter_operand_on_the_left(self):
+        assert IntPolynomial((1,)) + IntPolynomial((0, 2, 3)) == IntPolynomial((1, 2, 3))
 
     def test_evaluation(self):
         p = IntPolynomial((1, 2, 3))
@@ -78,6 +87,14 @@ class TestDivexact:
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
             poly_divexact(IntPolynomial((1, 1)), IntPolynomial((1, 0, 1)))
+
+    def test_leading_coefficient_must_divide(self):
+        # 1 + t over 2t: the quotient's only coefficient would be 1/2
+        with pytest.raises(NotDivisible, match="leading coefficient does not divide"):
+            poly_divexact(IntPolynomial((1, 1)), IntPolynomial((0, 2)))
+
+    def test_zero_over_a_longer_denominator_is_zero(self):
+        assert poly_divexact(IntPolynomial.zero(), IntPolynomial((1, 1))).is_zero()
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
