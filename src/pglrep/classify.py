@@ -19,7 +19,7 @@ from enum import Enum
 from operator import mul
 
 from .frozen import Frozen
-from .surfrep import InvariantClass, Mu2Value, check_genus, check_ints, check_mu1_length, even_n
+from .surfrep import InvariantClass, Mu2Value, as_tuple, check_genus, check_ints, check_mu1_length, even_n
 
 MAX_GROUP_SIZE = 1 << 16
 
@@ -101,6 +101,7 @@ class GroupAction(Frozen):
     ):
         if not isinstance(pi0, FinAbGroup) or not isinstance(pi1, FinAbGroup):
             raise BadInput(f"pi0 and pi1 must be FinAbGroups, got {pi0!r} and {pi1!r}")
+        generator_images = as_tuple(BadInput, "generator_images", generator_images)
         if len(generator_images) != len(pi0.orders):
             raise BadInput("need one endomorphism per pi0 generator")
         images = tuple(tuple(pi1.reduce(v) for v in block) for block in generator_images)
@@ -157,7 +158,7 @@ def gamma_subgroup(action: GroupAction, mu1_image: Iterable[Element]) -> frozens
     if not isinstance(action, GroupAction):
         raise BadInput(f"need a GroupAction, got {action!r}")
     pi1 = action.pi1
-    image = [action.pi0.reduce(g0) for g0 in mu1_image]
+    image = [action.pi0.reduce(g0) for g0 in as_tuple(BadInput, "mu1_image", mu1_image)]
     gamma = {pi1.zero()}
     for g0, v in itertools.product(image, _units(len(pi1.orders))):
         x = pi1.sub(v, action.apply(g0, v))
@@ -338,7 +339,7 @@ class TwistedClass(Frozen):
     __slots__ = _fields = ("mu1bar", "deg", "w2")
 
     def __init__(self, mu1bar: Sequence[int], deg: int, w2: int | None = None):
-        mu1bar = tuple(mu1bar)
+        mu1bar = as_tuple(BadInput, "mu1bar", mu1bar)
         check_mu1_length(BadInput, mu1bar)
         if type(deg) is not int or any(type(bit) is not int or bit not in (0, 1) for bit in mu1bar):
             raise BadInput(f"deg must be an int and mu1bar entries bits, got {deg!r}, {mu1bar}")
@@ -431,7 +432,7 @@ def tensor_by_line_bundle(
     check_ints(BadInput, rank=n)
     if n % 2 != 0 or n < 2:
         raise BadInput(f"rank must be even and >= 2, got {n}")
-    w1, f1 = tuple(w1), tuple(f1)
+    w1, f1 = as_tuple(BadInput, "w1", w1), as_tuple(BadInput, "f1", f1)
     check_mu1_length(BadInput, w1)
     if len(w1) != len(f1):
         raise BadInput("w1 and f1 must have the same even length 2g")

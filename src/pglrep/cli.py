@@ -48,13 +48,13 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _entry_to_fraction(value: object, where: str):
+def _check_entry(value: object, where: str) -> None:
     if isinstance(value, bool):
         raise CliError(f"parse error: boolean entry in {where}")
     if not isinstance(value, (int, str)):
         raise CliError(f"parse error: entry in {where} must be an integer or 'p/q' string")
     try:
-        return linalg.as_fraction(value)
+        linalg.as_fraction(value)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"parse error: bad rational {value!r} in {where}") from None
 
@@ -94,11 +94,16 @@ def read_rep_file(path: str) -> surfrep.SurfaceRep:
             not isinstance(row, list) or len(row) != n for row in rows
         ):
             raise CliError(f"parse error: generator {label} is not {n}x{n}")
-        matrices.append(
-            linalg.RatMatrix(
-                [[_entry_to_fraction(x, f"generator {label}") for x in row] for row in rows]
-            )
-        )
+        try:
+            matrices.append(linalg.RatMatrix(rows))
+        except (TypeError, ValueError, ZeroDivisionError):
+            # of the entries JSON can hold, RatMatrix takes just the ones
+            # _check_entry passes (ints and "p/q" strings) and stops at the
+            # first other one; walk the rows again to name it
+            for row in rows:
+                for x in row:
+                    _check_entry(x, f"generator {label}")
+            raise
     return surfrep.SurfaceRep(genus, n, tuple(matrices))
 
 

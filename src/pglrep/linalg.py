@@ -58,7 +58,29 @@ class OrthComponent(Enum):
 
 # Fraction() alone would also take "1e10000000", " 1", "0.5" and "1_0", and
 # an exponent costs time without bound; only integers and "p/q" are exact input
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(value: Rationalish) -> tuple[int, int]:
+    """An int, "p/q" string or Fraction as its numerator and positive
+    denominator in lowest terms, with no Fraction made on the way: the one
+    grammar of exact input.  TypeError for another type or a bool,
+    ValueError for another string, ZeroDivisionError for q = 0."""
+    if type(value) is int:
+        return value, 1
+    # an int subclass's ratio is made of plain ints
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return value.as_integer_ratio()
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError(f"not an integer or 'p/q' string: {value!r}")
+        p, q = int(match[1]), int(match[2] or 1)
+        if not q:
+            raise ZeroDivisionError(f"zero denominator in {value!r}")
+        g = math.gcd(p, q)
+        return p // g, q // g
+    raise TypeError(f"not an exact rational: {value!r}")
 
 
 def as_fraction(value: Rationalish) -> Fraction:
@@ -67,13 +89,34 @@ def as_fraction(value: Rationalish) -> Fraction:
     for q = 0."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        if _RATIONAL.fullmatch(value):
-            return Fraction(value)
-        raise ValueError(f"not an integer or 'p/q' string: {value!r}")
-    raise TypeError(f"not an exact rational: {value!r}")
+    return Fraction(*_ratio(value))
+
+
+def _over_one_denominator(entries: list[Rationalish]) -> tuple[list[int], int]:
+    """The entries as integers over one positive denominator, in lowest terms
+    together, each entry read once by _ratio, in order, so the first bad one
+    decides the error.  Only a list of plain ints, or of plain ints and
+    Fractions, skips the call per entry."""
+    kinds = set(map(type, entries))
+    if kinds <= {int}:
+        return entries, 1
+    if kinds <= {int, Fraction}:
+        pairs = [x.as_integer_ratio() for x in entries]
+    else:
+        pairs = [*map(_ratio, entries)]
+    dens = {q for _, q in pairs}
+    # the lcm of reduced denominators leaves num / den in lowest terms
+    den = math.lcm(*dens)
+    scale = {q: den // q for q in dens}
+    return [p * scale[q] for p, q in pairs], den
+
+
+def _iterable(value: object) -> bool:
+    try:
+        iter(value)
+    except TypeError:
+        return False
+    return True
 
 
 class RatMatrix(Frozen):
@@ -83,19 +126,25 @@ class RatMatrix(Frozen):
     __slots__ = ("n", *_fields)
 
     def __init__(self, rows: Iterable[Iterable[Rationalish]]):
-        table = []
+        if not _iterable(rows):
+            raise BadShape(f"a matrix must be a sequence of rows, got {rows!r}")
+        flat, ends, shape_error = [], [], None
         for row in rows:
             # iterating a string or bytes row would read it one character or byte at a time
-            if isinstance(row, (str, bytes, bytearray)):
-                raise BadShape(f"a matrix row must be a sequence of entries, got {row!r}")
-            table.append([as_fraction(x) for x in row])
-        n = len(table)
-        if any(len(row) != n for row in table):
+            if isinstance(row, (str, bytes, bytearray)) or not _iterable(row):
+                # raised after the entries before it are read, as they come first
+                shape_error = BadShape(f"a matrix row must be a sequence of entries, got {row!r}")
+                break
+            flat.extend(row)
+            ends.append(len(flat))
+        flat, den = _over_one_denominator(flat)
+        if shape_error is not None:
+            raise shape_error
+        n = len(ends)
+        # square: each of the n rows ends n entries after the one before it
+        if not n or ends != [*range(n, n * n + 1, n)]:
             raise BadShape("matrix must be square and non-empty")
-        # the lcm of reduced denominators leaves num / den in lowest terms
-        den = math.lcm(*(x.denominator for row in table for x in row))
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in table)
-        self._fill(n, num, den)
+        self._fill(n, tuple([tuple(flat[i - n : i]) for i in ends]), den)
 
     def _fill(self, n: int, num: tuple, den: int) -> None:
         if n == 0:
@@ -281,6 +330,8 @@ def reflection_vectors(a: RatMatrix) -> list[list[int]]:
     the columns of a orthonormal, and the reflections reduce a to I.  Each
     column keeps its own denominator, and a column orthogonal to the
     reflection vector is left as it is."""
+    if not isinstance(a, RatMatrix):
+        raise BadShape(f"need a RatMatrix, got {a!r}")
     reflect = _reflection_kernel(a.n)
     cols = [list(col) for col in zip(*a.num)]
     dens = [a.den] * a.n

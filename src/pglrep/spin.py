@@ -16,7 +16,7 @@ same kernel element and is the reference the tests compare it with.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence, Sized
 from enum import Enum
 from functools import cache
 from operator import mul
@@ -117,7 +117,7 @@ def spinor_commutator(n: int, lifts: Sequence[Sequence[Sequence[int]]]) -> Kerne
     length than n, an entry that is not an int, or a zero vector, whose
     norm every power of p divides.
     """
-    if len(lifts) < 2 or len(lifts) % 2 != 0:
+    if not isinstance(lifts, Sized) or len(lifts) < 2 or len(lifts) % 2 != 0:
         raise ValueError("expected a non-empty even-length list of lifts")
     _check_dimension(n)
     if n % 2:

@@ -59,6 +59,16 @@ def check_ints(error: type[Exception], **values: object) -> None:
             raise error(f"{name} must be an int, got {value!r}")
 
 
+def as_tuple(error: type[Exception], name: str, value: object) -> tuple:
+    """tuple(value), raising `error` naming it, not a bare TypeError, when
+    value is not iterable."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {value!r}") from None
+    return tuple(items)
+
+
 def check_genus(error: type[Exception], g: int, maximum: int | None = None) -> None:
     """Raise `error` unless g >= 2, and g <= `maximum` unless that is None."""
     if g < 2:
@@ -99,7 +109,7 @@ class InvariantClass(Frozen):
     __slots__ = _fields = ("mu1", "mu2")
 
     def __init__(self, mu1: Sequence[int], mu2: Mu2Value):
-        mu1 = tuple(mu1)
+        mu1 = as_tuple(InvalidClass, "mu1", mu1)
         check_mu1_length(InvalidClass, mu1)
         if any(type(bit) is not int or bit not in (0, 1) for bit in mu1):
             raise InvalidClass("mu1 entries must be bits")
@@ -143,7 +153,7 @@ class SurfaceRep(Frozen):
         invariant class.  The name is the one the benchmark's tracer wraps as
         its certification span."""
         check_genus_and_n(self.genus, self.n)
-        gens = tuple(self.gens)
+        gens = as_tuple(linalg.BadShape, "gens", self.gens)
         object.__setattr__(self, "gens", gens)
         if len(gens) != 2 * self.genus:
             raise linalg.BadShape(

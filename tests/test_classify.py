@@ -150,6 +150,15 @@ class TestGroups:
         (lambda: tensor_by_line_bundle(Z, 1, (1, 0) * 3, 4), "w1 and f1 must have the same"),
         (lambda: po_kernel_label(4, (2, 0)), "not an element of pi_1 of PO"),
         (lambda: po_kernel_label(5, (1,)), "n must be even and >= 4, got 5"),
+        # a non-iterable where a sequence belongs
+        (
+            lambda: GroupAction(FinAbGroup((2,)), FinAbGroup((4,)), None),
+            "generator_images must be a sequence, got None",
+        ),
+        (lambda: gamma_subgroup(po_bundle_data(4), None), "mu1_image must be a sequence, got None"),
+        (lambda: classify_bundles(po_bundle_data(4), None), "mu1_image must be a sequence, got None"),
+        (lambda: TwistedClass(None, 0, 0), "mu1bar must be a sequence, got None"),
+        (lambda: tensor_by_line_bundle(Z, 0, None, 4), "f1 must be a sequence, got None"),
     ],
     ids=[
         "reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "z0-n-negative",
@@ -157,7 +166,8 @@ class TestGroups:
         "z0-genus-1", "z0-genus-negative", "lifts-to-target-str", "lifts-to-class-tuple",
         "per-class-tuple", "project-untwisted", "twisted-genus-0", "twisted-odd-length",
         "tensor-genus-0", "tensor-genus-1", "tensor-length-mismatch", "kernel-label-outside-pi1",
-        "kernel-label-odd-n",
+        "kernel-label-odd-n", "images-none", "gamma-image-none", "classify-image-none",
+        "twisted-mu1bar-none", "tensor-f1-none",
     ],
 )
 def test_shape_and_range_errors(make, match):

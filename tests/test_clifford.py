@@ -616,6 +616,8 @@ class TestSpinorCommutator:
             spinor_commutator(4, [reflection_vectors(d4)] * 3)
         with pytest.raises(ValueError, match="even-length"):
             spinor_commutator(4, [])
+        with pytest.raises(ValueError, match="even-length"):
+            spinor_commutator(4, None)
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
             spinor_commutator(MAX_DIM + 2, [[], []])
         with pytest.raises(ValueError, match="positive integer"):

@@ -118,10 +118,16 @@ def test_commutator_size_mismatch():
         (lambda: RatMatrix.diagonal(b"12"), BadShape, "diagonal must be a sequence of entries"),
         (lambda: RatMatrix.identity(True), BadShape, "identity size must be an int"),
         (lambda: RatMatrix.identity(2.0), BadShape, "identity size must be an int"),
+        # a non-iterable table or row
+        (lambda: RatMatrix(5), BadShape, "matrix must be a sequence of rows, got 5"),
+        (lambda: RatMatrix(None), BadShape, "matrix must be a sequence of rows, got None"),
+        (lambda: RatMatrix([[1, 0], 5]), BadShape, "row must be a sequence of entries, got 5"),
+        (lambda: reflection_vectors(None), BadShape, "need a RatMatrix, got None"),
     ],
     ids=[
         "matmul-size", "float", "bool", "none", "str-rows", "bytes-row", "bytearray-row",
-        "str-diagonal", "bytes-diagonal", "bool-identity", "float-identity",
+        "str-diagonal", "bytes-diagonal", "bool-identity", "float-identity", "int-table",
+        "none-table", "int-row", "reflect-none",
     ],
 )
 def test_mismatched_sizes_and_non_rationals_rejected(make, error, match):
@@ -134,7 +140,12 @@ def test_pickle_round_trip():
     assert pickle.loads(pickle.dumps(m)) == m
 
 
-@pytest.mark.parametrize("rows", [[], [[1, 0]], [[1, 0], [0]]], ids=["empty", "one-row", "ragged"])
+@pytest.mark.parametrize(
+    "rows",
+    # the last table has n² entries in n rows, but not n in each
+    [[], [[1, 0]], [[1, 0], [0]], [[1, 0, 0], [0], [0, 1, 0, 0, 1]]],
+    ids=["empty", "one-row", "ragged", "ragged-n-squared-entries"],
+)
 def test_non_square_tables_rejected(rows):
     with pytest.raises(BadShape, match="square and non-empty"):
         RatMatrix(rows)
@@ -148,6 +159,72 @@ def test_only_integer_and_p_over_q_strings_are_rationals(text):
         RatMatrix([[text]])
     with pytest.raises(ValueError):
         CliffordElement.scalar(4, text)
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass, which the constructor reads through the general path."""
+
+
+def _rational_text(sign, zeros, p, q):
+    return f"{sign}{'0' * zeros}{p}" if q is None else f"{sign}{'0' * zeros}{p}/{'0' * zeros}{q}"
+
+
+# every kind of exact entry: "p/q" strings signed, unreduced and with leading zeros
+exact_entries = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=50).map(_Ratio),
+    st.builds(
+        _rational_text,
+        st.sampled_from(("", "+", "-")),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=10**6),
+        st.none() | st.integers(min_value=1, max_value=10**4),
+    ),
+    st.sampled_from(("-0/3", "0/7", "+6/4", "-010/0004")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=8))
+def test_constructor_matches_a_fraction_reference(data, n):
+    table = [[data.draw(exact_entries) for _ in range(n)] for _ in range(n)]
+    m = RatMatrix(table)
+    ref = [[Fraction(x) for x in row] for row in table]
+    # the lcm of the reduced denominators, and each numerator over it
+    den = math.lcm(*(x.denominator for row in ref for x in row))
+    assert m.den == den
+    assert m.num == tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in ref)
+    assert all(type(x) is int for x in chain.from_iterable(m.num))
+    assert all(as_fraction(x) == y for x, y in zip(chain(*table), chain(*ref)))
+
+
+@pytest.mark.parametrize(
+    "rows,error",
+    [
+        ([[True, "1/0"], [0, 0]], TypeError),
+        ([["1/0", True], [0, 0]], ZeroDivisionError),
+        ([[0, 0], [True, "1/0"]], TypeError),
+        ([[1, 2.5], ["1/0", 1]], TypeError),
+        ([["1/0"]], ZeroDivisionError),
+        # an entry comes before the shape of a later or a ragged row
+        ([[True, 0], [0]], TypeError),
+        ([["1/0", 0], [0]], ZeroDivisionError),
+        ([[0, "1/0"], [0, 0, 0]], ZeroDivisionError),
+        ([[True, 0], "12"], TypeError),
+        ([["1/0", 0], 5], ZeroDivisionError),
+        ([[0, 0], "12", [True, 0]], BadShape),
+    ],
+    ids=[
+        "bool-then-zero-den", "zero-den-then-bool", "second-row", "float-first", "one-entry",
+        "bool-then-ragged", "zero-den-then-ragged", "zero-den-then-long-row", "bool-then-str-row",
+        "zero-den-then-int-row", "str-row-then-bool",
+    ],
+)
+def test_first_bad_entry_in_row_major_order_decides_the_error(rows, error):
+    with pytest.raises(error) as info:
+        RatMatrix(rows)
+    assert type(info.value) is error
 
 
 def test_matrix_equality_and_blocks():

@@ -72,6 +72,7 @@ class TestConstruction:
             # a table is not a RatMatrix, and a list of lists is not even hashable
             pytest.param(2, 4, (I4, [[1, 0, 0, 0]] * 4, I4, I4), "generator B1 is not a RatMatrix",
                          id="list-generator"),
+            pytest.param(2, 4, None, "gens must be a sequence, got None", id="none-generators"),
         ],
     )
     def test_genus_and_n_must_be_ints(self, genus, n, gens, match):
@@ -194,6 +195,8 @@ class TestInvariants:
         for mu1 in ((False, True, 0.0, 0), (0, 1.0, 0, 0), (0, 0, True, 0)):
             with pytest.raises(InvalidClass, match="bits"):
                 InvariantClass(mu1, Mu2Value.ZERO)
+        with pytest.raises(InvalidClass, match="mu1 must be a sequence, got None"):
+            InvariantClass(None, Mu2Value.ZERO)
 
 
 @settings(max_examples=20, deadline=None)
