@@ -73,9 +73,6 @@ class FinAbGroup(Frozen):
     def add(self, a: Element, b: Element) -> Element:
         return self.reduce([x + y for x, y in zip(a, b)])
 
-    def neg(self, a: Element) -> Element:
-        return self.reduce([-x for x in a])
-
     def sub(self, a: Element, b: Element) -> Element:
         return self.reduce([x - y for x, y in zip(a, b)])
 

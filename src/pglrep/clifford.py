@@ -28,13 +28,13 @@ machine word.  Every example of interest here needs n <= 8.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping, Sequence, Sized
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 
 from .frozen import Frozen
-from .linalg import RatMatrix, as_fraction, reflection_vectors
+from .linalg import BadShape, RatMatrix, as_fraction, reflection_vectors
 from .spin import KernelElement, NotInKernel, _check_dimension
 
 Scalarish = int | Fraction
@@ -96,6 +96,8 @@ class CliffordElement(Frozen):
 
     def __init__(self, n: int, terms: Mapping[int, Scalarish]):
         _check_dimension(n)
+        if not isinstance(terms, Mapping):
+            raise ValueError(f"terms must map blade masks to coefficients, got {terms!r}")
         top = 1 << n
         clean: dict[int, Fraction] = {}
         for mask, coeff in terms.items():
@@ -132,26 +134,6 @@ class CliffordElement(Frozen):
         object.__setattr__(out, "terms", {m: c for m, c in terms.items() if c != 0})
         return out
 
-    def _require_same_algebra(self, other: "CliffordElement") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: Cl({self.n}) vs Cl({other.n})")
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        self._require_same_algebra(other)
-        terms = dict(self.terms)
-        for mask, c in other.terms.items():
-            prev = terms.get(mask)
-            terms[mask] = c if prev is None else prev + c
-        return CliffordElement._raw(self.n, terms)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement._raw(self.n, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other) -> "CliffordElement":
         if isinstance(other, (int, Fraction)):
             factor = as_fraction(other)
@@ -160,17 +142,13 @@ class CliffordElement(Frozen):
             )
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        self._require_same_algebra(other)
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: Cl({self.n}) vs Cl({other.n})")
         (a, da), (b, db) = _cleared(self), _cleared(other)
         den = da * db
         return CliffordElement._raw(
             self.n, {m: Fraction(c, den) for m, c in _int_product(a, b).items()}
         )
-
-    def __rmul__(self, other) -> "CliffordElement":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def __hash__(self) -> int:
         # terms is a dict, so the hash goes through its items
@@ -184,15 +162,6 @@ class CliffordElement(Frozen):
             name = "".join(f"e{i + 1}" for i in range(self.n) if mask >> i & 1) or "1"
             parts.append(f"{self.terms[mask]}*{name}")
         return f"Cl({self.n}):" + " + ".join(parts)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_scalar(self) -> bool:
-        return set(self.terms) <= {0}
-
-    def scalar_part(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
 
     def grades(self) -> set[int]:
         return {mask.bit_count() for mask in self.terms}
@@ -219,12 +188,6 @@ class CliffordElement(Frozen):
         return tuple(self.terms.get(1 << i, Fraction(0)) for i in range(self.n))
 
 
-def volume_element(n: int) -> CliffordElement:
-    """The oriented volume element e_1 ... e_n."""
-    _check_dimension(n)
-    return CliffordElement(n, {(1 << n) - 1: 1})
-
-
 def _versor_norm(g: CliffordElement) -> int:
     """d^2 g reversal(g), with d the lcm of g's denominators, over Z;
     NotAVersor when it is not a nonzero scalar."""
@@ -244,6 +207,8 @@ def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
     nonzero scalar, NotVectorPreserving when an image is not a nonzero pure
     vector.
     """
+    if not isinstance(g, CliffordElement):
+        raise ValueError(f"need a CliffordElement, got {g!r}")
     n = g.n
     norm = Fraction(_versor_norm(g), _cleared(g)[1] ** 2)
     alpha, rev = g.grade_involution(), g.reversal()
@@ -260,7 +225,10 @@ def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
 
 def lift_factors(a: RatMatrix) -> list[CliffordElement]:
     """The primitive integer reflection vectors whose product lifts a, in order:
-    at most n, and an even number exactly when det(a) = +1."""
+    at most n, and an even number exactly when det(a) = +1.  BadShape unless a
+    is a RatMatrix."""
+    if not isinstance(a, RatMatrix):
+        raise BadShape(f"need a RatMatrix, got {a!r}")
     _check_dimension(a.n)
     return [CliffordElement.vector(a.n, u) for u in reflection_vectors(a)]
 
@@ -283,7 +251,7 @@ def commutator_product(
     representation satisfies the surface relation the product is one term:
     1, -1, omega or -omega times the product of the factors' norms.
     """
-    if len(lifts) < 2 or len(lifts) % 2 != 0:
+    if not isinstance(lifts, Sized) or len(lifts) < 2 or len(lifts) % 2 != 0:
         raise ValueError("expected a non-empty even-length list of lifts")
     chains = [[g] if isinstance(g, CliffordElement) else list(g) for g in lifts]
     # an identity may be lifted with no factor, so n comes from any factor

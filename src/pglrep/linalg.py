@@ -173,7 +173,7 @@ class RatMatrix(Frozen):
     @classmethod
     def diagonal(cls, entries: Sequence[Rationalish]) -> "RatMatrix":
         # as for a row, a string or bytes would be read one character or byte at a time
-        if isinstance(entries, (str, bytes, bytearray)):
+        if isinstance(entries, (str, bytes, bytearray)) or not isinstance(entries, Sequence):
             raise BadShape(f"a diagonal must be a sequence of entries, got {entries!r}")
         n = len(entries)
         return cls(
@@ -182,6 +182,8 @@ class RatMatrix(Frozen):
 
     @classmethod
     def block_diag(cls, *blocks: "RatMatrix") -> "RatMatrix":
+        if not all(isinstance(b, RatMatrix) for b in blocks):
+            raise BadShape(f"blocks must be RatMatrix instances, got {blocks!r}")
         n = sum(b.n for b in blocks)
         # each block is in lowest terms, so over the lcm the whole one is too
         den = math.lcm(*(b.den for b in blocks))
@@ -363,6 +365,8 @@ def component(a: RatMatrix) -> OrthComponent:
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """A B A^-1 B^-1 for orthogonal A, B (inverses taken as transposes).
     Certification decides the relation without it; the tests compare with it."""
+    if not isinstance(a, RatMatrix) or not isinstance(b, RatMatrix):
+        raise BadShape(f"need two RatMatrix instances, got {a!r} and {b!r}")
     if a.n != b.n:
         raise BadShape(f"size mismatch: {a.n} vs {b.n}")
     return a * b * a.transpose() * b.transpose()

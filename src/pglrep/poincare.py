@@ -38,10 +38,6 @@ class IntPolynomial(Frozen):
         object.__setattr__(self, "coeffs", tuple(values))
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
@@ -90,7 +86,7 @@ class IntPolynomial(Frozen):
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return IntPolynomial.zero()
+            return IntPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -125,7 +121,7 @@ def poly_divexact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     if len(rem) < len(d):
         if any(rem):
             raise NotDivisible("numerator has lower degree than denominator")
-        return IntPolynomial.zero()
+        return IntPolynomial()
     q = [0] * (len(rem) - len(d) + 1)
     for k in range(len(q) - 1, -1, -1):
         c = rem[k + len(d) - 1]

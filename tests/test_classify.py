@@ -78,7 +78,7 @@ class TestGroups:
         g = FinAbGroup((2, 4))
         assert g.size() == 8
         assert g.add((1, 3), (1, 2)) == (0, 1)
-        assert g.neg((1, 1)) == (1, 3)
+        assert g.sub(g.zero(), (1, 1)) == (1, 3)
         assert len(list(g.elements())) == 8
 
     def test_order_bound(self):

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pglrep.clifford import CliffordElement
+from pglrep.clifford import (
+    CliffordElement,
+    commutator_product,
+    lift_factors,
+    lift_orthogonal,
+    twisted_conjugation_matrix,
+)
 from pglrep.linalg import (
     MAX_DIM,
     BadShape,
@@ -123,11 +129,27 @@ def test_commutator_size_mismatch():
         (lambda: RatMatrix(None), BadShape, "matrix must be a sequence of rows, got None"),
         (lambda: RatMatrix([[1, 0], 5]), BadShape, "row must be a sequence of entries, got 5"),
         (lambda: reflection_vectors(None), BadShape, "need a RatMatrix, got None"),
+        # the cold constructors and the reference commutator
+        (lambda: RatMatrix.diagonal(None), BadShape, "diagonal must be a sequence of entries, got None"),
+        (lambda: RatMatrix.diagonal(5), BadShape, "diagonal must be a sequence of entries, got 5"),
+        (lambda: RatMatrix.block_diag(None), BadShape, "blocks must be RatMatrix instances"),
+        (lambda: commutator(None, None), BadShape, "need two RatMatrix instances"),
+        # no rows: each reaches the emptiness check of RatMatrix._fill
+        (lambda: RatMatrix.identity(0), BadShape, "square and non-empty"),
+        (lambda: RatMatrix.identity(-1), BadShape, "square and non-empty"),
+        (lambda: RatMatrix.block_diag(), BadShape, "square and non-empty"),
+        # the reference algebra's entry points
+        (lambda: lift_factors(None), BadShape, "need a RatMatrix, got None"),
+        (lambda: lift_orthogonal(None), BadShape, "need a RatMatrix, got None"),
+        (lambda: twisted_conjugation_matrix(None), ValueError, "need a CliffordElement, got None"),
+        (lambda: commutator_product(None), ValueError, "even-length list of lifts"),
     ],
     ids=[
         "matmul-size", "float", "bool", "none", "str-rows", "bytes-row", "bytearray-row",
         "str-diagonal", "bytes-diagonal", "bool-identity", "float-identity", "int-table",
-        "none-table", "int-row", "reflect-none",
+        "none-table", "int-row", "reflect-none", "none-diagonal", "int-diagonal",
+        "none-block", "commutator-none", "zero-identity", "negative-identity", "no-blocks",
+        "lift-factors-none", "lift-orthogonal-none", "twisted-none", "commutator-product-none",
     ],
 )
 def test_mismatched_sizes_and_non_rationals_rejected(make, error, match):

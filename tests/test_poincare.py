@@ -59,7 +59,7 @@ class TestArithmetic:
 
     def test_multiply_by_zero(self):
         p = IntPolynomial((3, -1, 2))
-        assert (p * IntPolynomial.zero()).is_zero()
+        assert (p * IntPolynomial()).is_zero()
 
     def test_add(self):
         assert IntPolynomial((1, 1)) + IntPolynomial((0, -1)) == IntPolynomial((1,))
@@ -94,11 +94,11 @@ class TestDivexact:
             poly_divexact(IntPolynomial((1, 1)), IntPolynomial((0, 2)))
 
     def test_zero_over_a_longer_denominator_is_zero(self):
-        assert poly_divexact(IntPolynomial.zero(), IntPolynomial((1, 1))).is_zero()
+        assert poly_divexact(IntPolynomial(), IntPolynomial((1, 1))).is_zero()
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            poly_divexact(IntPolynomial((1,)), IntPolynomial.zero())
+            poly_divexact(IntPolynomial((1,)), IntPolynomial())
 
     def test_multiplication_inverts_division(self):
         num = IntPolynomial((1, 0, 0, 1)) ** 4 - IntPolynomial((1, 1)) ** 4 * IntPolynomial.t_power(4)
