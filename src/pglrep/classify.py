@@ -16,7 +16,7 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
-from operator import mul
+from operator import add, mul, sub
 
 from .frozen import Frozen
 from .surfrep import InvariantClass, Mu2Value, as_tuple, check_genus, check_ints, check_mu1_length, even_n
@@ -70,11 +70,17 @@ class FinAbGroup(Frozen):
             raise BadInput(f"element coordinates must be ints, got {tuple(v)!r}")
         return tuple([x % k for x, k in zip(v, self.orders)])
 
+    def _combine(self, op, a: Element, b: Element) -> Element:
+        try:
+            return self.reduce(list(map(op, a, b)))
+        except TypeError:
+            raise BadInput(f"elements must be sequences of ints, got {a!r} and {b!r}") from None
+
     def add(self, a: Element, b: Element) -> Element:
-        return self.reduce([x + y for x, y in zip(a, b)])
+        return self._combine(add, a, b)
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.reduce([x - y for x, y in zip(a, b)])
+        return self._combine(sub, a, b)
 
     def elements(self) -> Iterator[Element]:
         yield from itertools.product(*(range(k) for k in self.orders))
@@ -101,7 +107,10 @@ class GroupAction(Frozen):
         generator_images = as_tuple(BadInput, "generator_images", generator_images)
         if len(generator_images) != len(pi0.orders):
             raise BadInput("need one endomorphism per pi0 generator")
-        images = tuple(tuple(pi1.reduce(v) for v in block) for block in generator_images)
+        images = tuple(
+            tuple(pi1.reduce(v) for v in as_tuple(BadInput, "each endomorphism", block))
+            for block in generator_images
+        )
         object.__setattr__(self, "pi0", pi0)
         object.__setattr__(self, "pi1", pi1)
         object.__setattr__(self, "generator_images", images)
@@ -200,34 +209,33 @@ def classify_bundles(action: GroupAction, mu1_image: Iterable[Element]) -> list[
 # ---------------------------------------------------------------------------
 
 
-def po_bundle_data(n: int) -> GroupAction:
-    """The (pi_0, pi_1, action) triple of PO(n) for n >= 4 even.
+# pi_1 of PO(n), n >= 4 even, keyed by n % 4: the four-element covering
+# kernel {1, -1, omega, -omega} written additively, as its cyclic orders, the
+# images of its generators under the orientation-reversing component, which
+# acts by omega -> -omega, and the name of each element.  It is Z_2 x Z_2
+# when n = 0 mod 4, with (a, b) meaning a.[-1] + b.[omega], and Z_4
+# generated by omega when n = 2 mod 4.
+_PO_PI1 = {
+    0: ((2, 2), ((1, 0), (1, 1)), {(0, 0): "0", (1, 0): "1", (0, 1): "omega", (1, 1): "-omega"}),
+    2: ((4,), ((3,),), {(0,): "0", (2,): "1", (1,): "omega", (3,): "-omega"}),
+}
 
-    pi_1 is the four-element covering kernel {1, -1, omega, -omega} written
-    additively: Z_2 x Z_2 when n = 0 mod 4 (coordinates (a, b) meaning
-    a.[-1] + b.[omega]) and Z_4 generated by omega when n = 2 mod 4.  The
-    orientation-reversing component acts by omega -> -omega.
-    """
+
+def _po_pi1(n: int) -> tuple:
     check_ints(BadInput, n=n)
     _check_n(n)
-    pi0 = FinAbGroup((2,))
-    if n % 4 == 0:
-        pi1 = FinAbGroup((2, 2))
-        images = (((1, 0), (1, 1)),)  # -1 fixed, omega -> -1 + omega
-    else:
-        pi1 = FinAbGroup((4,))
-        images = (((3,),),)  # omega -> -omega
-    return GroupAction(pi0, pi1, images)
+    return _PO_PI1[n % 4]
+
+
+def po_bundle_data(n: int) -> GroupAction:
+    """The (pi_0, pi_1, action) triple of PO(n) for n >= 4 even (_PO_PI1)."""
+    orders, images, _ = _po_pi1(n)
+    return GroupAction(FinAbGroup((2,)), FinAbGroup(orders), (images,))
 
 
 def po_kernel_label(n: int, v: Element) -> str:
     """Additive name of a pi_1 element of PO(n): 0, 1, omega or -omega."""
-    check_ints(BadInput, n=n)
-    _check_n(n)
-    if n % 4 == 0:
-        names = {(0, 0): "0", (1, 0): "1", (0, 1): "omega", (1, 1): "-omega"}
-    else:
-        names = {(0,): "0", (2,): "1", (1,): "omega", (3,): "-omega"}
+    names = _po_pi1(n)[2]
     if type(v) is not tuple or v not in names:
         raise BadInput(f"{v!r} is not an element of pi_1 of PO({n})")
     return names[v]
@@ -379,6 +387,7 @@ class ComponentReport(Frozen):
 
     def __init__(self, deg: int, entries: Iterable[tuple[TwistedClass, int, int]]):
         object.__setattr__(self, "deg", deg)
+        entries = as_tuple(BadInput, "entries", entries)
         object.__setattr__(self, "entries", tuple(map(tuple, entries)))
 
     @property

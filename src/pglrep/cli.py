@@ -54,7 +54,7 @@ def _check_entry(value: object, where: str) -> None:
     if not isinstance(value, (int, str)):
         raise CliError(f"parse error: entry in {where} must be an integer or 'p/q' string")
     try:
-        linalg.as_fraction(value)
+        linalg.RatMatrix([[value]])
     except (ValueError, ZeroDivisionError):
         raise CliError(f"parse error: bad rational {value!r} in {where}") from None
 

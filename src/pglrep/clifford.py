@@ -3,8 +3,10 @@
 Basis blades are n-bit masks (bit i set means the basis vector e_{i+1} occurs),
 so a blade product is a sign plus an XOR.  Every product of multivectors,
 including the norms, images and commutators below, runs in one integer
-kernel, `_int_product`, on term maps {mask: int}; `CliffordElement.__mul__`
-clears each operand's denominators once and divides each result term once.
+kernel, `_int_product`, on integer terms.  A `CliffordElement` is stored as
+`RatMatrix` stores a matrix, as integers over one denominator in lowest
+terms, so `__mul__` is one kernel call and one gcd, and no product makes a
+`Fraction`: only the `terms` view does.
 Orthogonal matrices are lifted to the Lipschitz group as the at most n
 *non-normalised* primitive integer vectors of `linalg.reflection_vectors`,
 which `commutator_product` takes one at a time instead of expanding a lift
@@ -28,16 +30,14 @@ machine word.  Every example of interest here needs n <= 8.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence, Sized
+from collections.abc import Iterable, Mapping, Sequence, Sized
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 
 from .frozen import Frozen
-from .linalg import BadShape, RatMatrix, as_fraction, reflection_vectors
+from .linalg import BadShape, RatMatrix, Rationalish, _over_one_denominator, lowest_terms, reflection_vectors
 from .spin import KernelElement, NotInKernel, _check_dimension
-
-Scalarish = int | Fraction
 
 
 class NotAVersor(ValueError):
@@ -63,14 +63,14 @@ def _parity_mask(a: int) -> int:
     return mask
 
 
-def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """The product of two integer term maps {mask: int}, zero terms dropped:
-    the one loop over pairs of terms, which every Clifford product runs."""
-    rhs = list(b.items())
+def _int_product(a: Iterable[tuple[int, int]], b: Sequence[tuple[int, int]]) -> dict[int, int]:
+    """The product of two integer term lists [(mask, int)], as a map {mask:
+    int} with zero terms dropped: the one loop over pairs of terms, which
+    every Clifford product runs."""
     acc: dict[int, int] = {}
-    for ma, ca in a.items():
+    for ma, ca in a:
         pm = _parity_mask(ma)
-        for mb, cb in rhs:
+        for mb, cb in b:
             mask = ma ^ mb
             if (pm & mb).bit_count() & 1:
                 acc[mask] = acc.get(mask, 0) - ca * cb
@@ -79,119 +79,97 @@ def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     return {m: c for m, c in acc.items() if c}
 
 
-def _cleared(x: CliffordElement) -> tuple[dict[int, int], int]:
-    """The integer term map of d * x, and d, the lcm of x's denominators."""
-    d = math.lcm(*(c.denominator for c in x.terms.values()))
-    return {m: c.numerator * (d // c.denominator) for m, c in x.terms.items()}, d
-
-
 class CliffordElement(Frozen):
-    """Sparse multivector of Cl(n) with exact rational coefficients.
-
-    Zero coefficients are pruned on construction, so equality of the stored
-    term maps is equality in the algebra.
+    """Sparse multivector of Cl(n) with exact rational coefficients, stored as
+    RatMatrix stores a matrix: `num` holds the (mask, int) terms in increasing
+    mask order with the zero terms pruned, over one positive denominator
+    `den` in lowest terms with them, so equal elements have equal storage.
+    `terms` is the Fraction view.
     """
 
-    __slots__ = _fields = ("n", "terms")
+    __slots__ = _fields = ("n", "num", "den")
 
-    def __init__(self, n: int, terms: Mapping[int, Scalarish]):
+    def __init__(self, n: int, terms: Mapping[int, Rationalish]):
         _check_dimension(n)
         if not isinstance(terms, Mapping):
             raise ValueError(f"terms must map blade masks to coefficients, got {terms!r}")
-        top = 1 << n
-        clean: dict[int, Fraction] = {}
-        for mask, coeff in terms.items():
-            if type(mask) is not int or not (0 <= mask < top):
-                raise ValueError(f"blade mask {mask!r} is not an int in range for Cl({n})")
-            c = as_fraction(coeff)
-            if c != 0:
-                clean[mask] = c
+        items, top = list(terms.items()), 1 << n
+        bad = next(
+            (k for k, (m, _) in enumerate(items) if type(m) is not int or not 0 <= m < top), None
+        )
+        # the coefficients before the first bad mask are read first, as they come first
+        coeffs, den = _over_one_denominator([c for _, c in items[:bad]])
+        if bad is not None:
+            raise ValueError(f"blade mask {items[bad][0]!r} is not an int in range for Cl({n})")
+        self._fill(n, tuple(sorted((m, c) for (m, _), c in zip(items, coeffs) if c)), den)
+
+    def _fill(self, n: int, num: tuple, den: int) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
-    def scalar(cls, n: int, value: Scalarish) -> "CliffordElement":
+    def _of(cls, n: int, num: tuple, den: int) -> "CliffordElement":
+        """Wrap (mask, int) terms, in increasing mask order with none zero,
+        and a denominator already in lowest terms with them."""
+        out = object.__new__(cls)
+        out._fill(n, num, den)
+        return out
+
+    def __reduce__(self):
+        return CliffordElement._of, (self.n, self.num, self.den)
+
+    @classmethod
+    def scalar(cls, n: int, value: Rationalish) -> "CliffordElement":
         return cls(n, {0: value})
 
     @classmethod
-    def basis_vector(cls, n: int, i: int) -> "CliffordElement":
-        if not (0 <= i < n):
-            raise ValueError(f"basis index {i} out of range for Cl({n})")
-        return cls(n, {1 << i: 1})
-
-    @classmethod
-    def vector(cls, n: int, coords: Sequence[Scalarish]) -> "CliffordElement":
-        if len(coords) != n:
-            raise ValueError("coordinate count must equal the dimension")
+    def vector(cls, n: int, coords: Sequence[Rationalish]) -> "CliffordElement":
+        if not isinstance(coords, Sized) or len(coords) != n:
+            raise ValueError(f"need {n} coordinates, got {coords!r}")
         return cls(n, {1 << i: c for i, c in enumerate(coords)})
 
-    @classmethod
-    def _raw(cls, n: int, terms: dict[int, Fraction]) -> "CliffordElement":
-        # internal fast path: inputs already satisfy the invariants except
-        # possibly for zero coefficients, which are pruned here
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "terms", {m: c for m, c in terms.items() if c != 0})
-        return out
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """The coefficients as Fractions, keyed by blade mask in increasing order."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.num}
 
     def __mul__(self, other) -> "CliffordElement":
         if isinstance(other, (int, Fraction)):
-            factor = as_fraction(other)
-            return CliffordElement._raw(
-                self.n, {m: c * factor for m, c in self.terms.items()}
-            )
+            other = CliffordElement.scalar(self.n, other)
         if not isinstance(other, CliffordElement):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: Cl({self.n}) vs Cl({other.n})")
-        (a, da), (b, db) = _cleared(self), _cleared(other)
-        den = da * db
-        return CliffordElement._raw(
-            self.n, {m: Fraction(c, den) for m, c in _int_product(a, b).items()}
-        )
-
-    def __hash__(self) -> int:
-        # terms is a dict, so the hash goes through its items
-        return hash((self.n, frozenset(self.terms.items())))
+        acc, den = _int_product(self.num, other.num), self.den * other.den
+        g = math.gcd(den, *acc.values())
+        num = tuple(sorted([(m, c // g) for m, c in acc.items()]))
+        return CliffordElement._of(self.n, num, den // g)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"Cl({self.n}):0"
-        parts = []
-        for mask in sorted(self.terms):
-            name = "".join(f"e{i + 1}" for i in range(self.n) if mask >> i & 1) or "1"
-            parts.append(f"{self.terms[mask]}*{name}")
-        return f"Cl({self.n}):" + " + ".join(parts)
-
-    def grades(self) -> set[int]:
-        return {mask.bit_count() for mask in self.terms}
+        parts = [
+            f"{c}*" + ("".join(f"e{i + 1}" for i in range(self.n) if mask >> i & 1) or "1")
+            for mask, c in self.terms.items()
+        ]
+        return f"Cl({self.n}):" + (" + ".join(parts) or "0")
 
     def grade_involution(self) -> "CliffordElement":
         """Negate odd-grade terms (an algebra automorphism)."""
-        return CliffordElement._raw(
-            self.n,
-            {m: (-c if m.bit_count() % 2 else c) for m, c in self.terms.items()},
-        )
+        num = tuple([(m, -c if m.bit_count() & 1 else c) for m, c in self.num])
+        return CliffordElement._of(self.n, num, self.den)
 
     def reversal(self) -> "CliffordElement":
-        """Reverse factor order: grade k picks up (-1)^(k(k-1)/2)."""
-        out: dict[int, Fraction] = {}
-        for m, c in self.terms.items():
-            k = m.bit_count()
-            out[m] = -c if (k * (k - 1) // 2) % 2 else c
-        return CliffordElement._raw(self.n, out)
-
-    def vector_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficient vector of a pure grade-1 element."""
-        if self.terms and self.grades() != {1}:
-            raise ValueError("element is not a pure vector")
-        return tuple(self.terms.get(1 << i, Fraction(0)) for i in range(self.n))
+        """Reverse factor order: grade k picks up (-1)^(k(k-1)/2), which is -1
+        exactly when k = 2 or 3 mod 4."""
+        num = tuple([(m, -c if m.bit_count() & 2 else c) for m, c in self.num])
+        return CliffordElement._of(self.n, num, self.den)
 
 
 def _versor_norm(g: CliffordElement) -> int:
-    """d^2 g reversal(g), with d the lcm of g's denominators, over Z;
-    NotAVersor when it is not a nonzero scalar."""
-    norm = _int_product(_cleared(g)[0], _cleared(g.reversal())[0])
+    """den^2 g reversal(g) over Z, for g = num / den; NotAVersor when it is
+    not a nonzero scalar."""
+    norm = _int_product(g.num, g.reversal().num)
     if norm.keys() != {0}:
         raise NotAVersor(f"g * reversal(g) = {norm} is not a nonzero scalar")
     return norm[0]
@@ -203,24 +181,26 @@ def twisted_conjugation_matrix(g: CliffordElement) -> RatMatrix:
     This realises the covering of the orthogonal group by the Lipschitz
     group: reflections for odd g, rotations for even g.  The inverse is
     expanded as reversal over norm, so column i is alpha(g) e_i reversal(g)
-    divided by g reversal(g).  NotAVersor is raised when that norm is not a
-    nonzero scalar, NotVectorPreserving when an image is not a nonzero pure
-    vector.
+    divided by g reversal(g), both taken over Z on num, where den^2 cancels.
+    NotAVersor is raised when that norm is not a nonzero scalar,
+    NotVectorPreserving when an image is not a nonzero pure vector.
     """
     if not isinstance(g, CliffordElement):
         raise ValueError(f"need a CliffordElement, got {g!r}")
     n = g.n
-    norm = Fraction(_versor_norm(g), _cleared(g)[1] ** 2)
-    alpha, rev = g.grade_involution(), g.reversal()
+    norm = _versor_norm(g)
+    alpha, rev = g.grade_involution().num, g.reversal().num
     columns = []
     for i in range(n):
-        image = alpha * CliffordElement.basis_vector(n, i) * rev
-        if image.grades() != {1}:
+        image = _int_product(_int_product(alpha, ((1 << i, 1),)).items(), rev)
+        grades = {m.bit_count() for m in image}
+        if grades != {1}:
             raise NotVectorPreserving(
-                f"image of e{i + 1} has grades {sorted(image.grades())}, expected {{1}}"
+                f"image of e{i + 1} has grades {sorted(grades)}, expected {{1}}"
             )
-        columns.append([c / norm for c in image.vector_coefficients()])
-    return RatMatrix(zip(*columns))
+        columns.append([image.get(1 << k, 0) for k in range(n)])
+    # the norm is a sum of squares, so positive
+    return RatMatrix._of(*lowest_terms(tuple(zip(*columns)), norm))
 
 
 def lift_factors(a: RatMatrix) -> list[CliffordElement]:
@@ -253,7 +233,13 @@ def commutator_product(
     """
     if not isinstance(lifts, Sized) or len(lifts) < 2 or len(lifts) % 2 != 0:
         raise ValueError("expected a non-empty even-length list of lifts")
-    chains = [[g] if isinstance(g, CliffordElement) else list(g) for g in lifts]
+    refusal = "each lift must be a CliffordElement or a sequence of them"
+    try:
+        chains = [[g] if isinstance(g, CliffordElement) else list(g) for g in lifts]
+    except TypeError:
+        raise ValueError(refusal) from None
+    if not all(isinstance(f, CliffordElement) for chain in chains for f in chain):
+        raise ValueError(refusal)
     # an identity may be lifted with no factor, so n comes from any factor
     dims = {f.n for chain in chains for f in chain}
     if len(dims) > 1:
@@ -263,7 +249,7 @@ def commutator_product(
     for g, h in zip(chains[::2], chains[1::2]):
         # g h g^-1 h^-1: an inverse is its lift's factors reversed, each one reversed
         for f in g + h + [f.reversal() for f in reversed(h + g)]:
-            product = _int_product(product, _cleared(f)[0])
+            product = _int_product(product.items(), f.num)
             content = math.gcd(*product.values())
             if content > 1:
                 product = {m: c // content for m, c in product.items()}

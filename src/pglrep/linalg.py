@@ -83,15 +83,6 @@ def _ratio(value: Rationalish) -> tuple[int, int]:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def as_fraction(value: Rationalish) -> Fraction:
-    """Coerce an int, "p/q" string or Fraction to an exact Fraction.  TypeError
-    for another type or a bool, ValueError for another string, ZeroDivisionError
-    for q = 0."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(*_ratio(value))
-
-
 def _over_one_denominator(entries: list[Rationalish]) -> tuple[list[int], int]:
     """The entries as integers over one positive denominator, in lowest terms
     together, each entry read once by _ratio, in order, so the first bad one

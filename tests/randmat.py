@@ -97,6 +97,30 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 nonzero_fractions = small_fractions.filter(lambda q: q != 0)
 
 
+class FractionSubclass(Fraction):
+    """A Fraction subclass, which the constructors read through the general path."""
+
+
+def _rational_text(sign, zeros, p, q):
+    return f"{sign}{'0' * zeros}{p}" if q is None else f"{sign}{'0' * zeros}{p}/{'0' * zeros}{q}"
+
+
+# every kind of exact entry: "p/q" strings signed, unreduced and with leading zeros
+exact_entries = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=50).map(FractionSubclass),
+    st.builds(
+        _rational_text,
+        st.sampled_from(("", "+", "-")),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=10**6),
+        st.none() | st.integers(min_value=1, max_value=10**4),
+    ),
+    st.sampled_from(("-0/3", "0/7", "+6/4", "-010/0004")),
+)
+
+
 @st.composite
 def rational_tables(draw, n: int) -> list[list[Fraction]]:
     """An n x n table of small fractions with many zeros, so singular

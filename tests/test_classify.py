@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pglrep.classify import (
     MAX_GENUS,
     BadInput,
+    ComponentReport,
     FinAbGroup,
     GroupAction,
     LiftTarget,
@@ -159,6 +160,13 @@ class TestGroups:
         (lambda: classify_bundles(po_bundle_data(4), None), "mu1_image must be a sequence, got None"),
         (lambda: TwistedClass(None, 0, 0), "mu1bar must be a sequence, got None"),
         (lambda: tensor_by_line_bundle(Z, 0, None, 4), "f1 must be a sequence, got None"),
+        (lambda: FinAbGroup((2,)).add(None, (1,)), "elements must be sequences of ints"),
+        (lambda: FinAbGroup((2,)).sub(None, (1,)), "elements must be sequences of ints"),
+        (
+            lambda: GroupAction(FinAbGroup((2,)), FinAbGroup((4,)), [None]),
+            "each endomorphism must be a sequence, got None",
+        ),
+        (lambda: ComponentReport(0, None), "entries must be a sequence, got None"),
     ],
     ids=[
         "reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "z0-n-negative",
@@ -167,7 +175,8 @@ class TestGroups:
         "per-class-tuple", "project-untwisted", "twisted-genus-0", "twisted-odd-length",
         "tensor-genus-0", "tensor-genus-1", "tensor-length-mismatch", "kernel-label-outside-pi1",
         "kernel-label-odd-n", "images-none", "gamma-image-none", "classify-image-none",
-        "twisted-mu1bar-none", "tensor-f1-none",
+        "twisted-mu1bar-none", "tensor-f1-none", "add-none", "sub-none", "endomorphism-none",
+        "report-entries-none",
     ],
 )
 def test_shape_and_range_errors(make, match):

@@ -1,5 +1,7 @@
+import fractions
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import add, itemgetter, mul
@@ -33,10 +35,15 @@ import randmat
 
 
 def e(n, *indices):
+    """The product of the basis vectors e_(i+1), for i in indices, in order."""
     out = CliffordElement.scalar(n, 1)
     for i in indices:
-        out = out * CliffordElement.basis_vector(n, i)
+        out = out * CliffordElement(n, {1 << i: 1})
     return out
+
+
+def grades(x):
+    return {mask.bit_count() for mask in x.terms}
 
 
 def omega(n):
@@ -78,6 +85,82 @@ class TestBladeMul:
     def test_mask_range_checked(self):
         with pytest.raises(ValueError):
             CliffordElement(4, {1 << 4: 1})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=6))
+def test_constructor_matches_a_fraction_reference(data, n):
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    terms = data.draw(st.dictionaries(masks, randmat.exact_entries, max_size=8))
+    x = CliffordElement(n, terms)
+    ref = {m: Fraction(c) for m, c in sorted(terms.items()) if Fraction(c)}
+    # the Fraction view, in increasing mask order, of ints over one lowest denominator
+    assert list(x.terms.items()) == list(ref.items())
+    assert all(type(c) is int for _, c in x.num) and x.den > 0
+    assert math.gcd(x.den, *(c for _, c in x.num)) == 1
+    y = CliffordElement(n, ref)
+    assert x == y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize(
+    "terms,error",
+    [
+        ({1: True, 16: 1}, TypeError),
+        ({16: 1, 1: True}, ValueError),
+        ({1: "1/0", 2.0: 1}, ZeroDivisionError),
+        ({2.0: 1, 1: "1/0"}, ValueError),
+        ({0: 1, 1: 0.5, "3": 1}, TypeError),
+        ({0: 1, "3": 1, 1: 0.5}, ValueError),
+        ({1: None, 3: "1/0"}, TypeError),
+        ({1: "1/0", 3: None}, ZeroDivisionError),
+    ],
+    ids=[
+        "bool-then-big-mask", "big-mask-then-bool", "zero-den-then-float-mask",
+        "float-mask-then-zero-den", "float-then-str-mask", "str-mask-then-float",
+        "none-then-zero-den", "zero-den-then-none",
+    ],
+)
+def test_first_bad_mask_or_coefficient_decides_the_error(terms, error):
+    with pytest.raises(error) as info:
+        CliffordElement(4, terms)
+    assert type(info.value) is error
+
+
+def _fractions_entered(run):
+    """The names of the functions of fractions.py that run() enters."""
+    entered = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_no_fraction_inside_a_product(n):
+    # a conjugated handle of class (0000, omega): dense integer lifts, and
+    # rescaled ones with a denominator, all built before profiling
+    a, b = _conjugated_handle(n, Mu2Value.OMEGA, random.Random(n))
+    dense = [lift_orthogonal(a), lift_orthogonal(b)]
+    scaled = [dense[0] * Fraction(-3, 7), dense[1] * Fraction(5, 2)]
+    factored = [lift_factors(a), lift_factors(b)]
+    assert {c.denominator for g in scaled for c in g.terms.values()} >= {2, 7}
+    for run in (
+        lambda: dense[0] * dense[1],
+        lambda: scaled[0] * scaled[1],
+        lambda: twisted_conjugation_matrix(dense[0]),
+        lambda: twisted_conjugation_matrix(scaled[1]),
+        lambda: commutator_product(dense),
+        lambda: commutator_product(scaled),
+        lambda: commutator_product(factored),
+    ):
+        assert _fractions_entered(run) == []
 
 
 @st.composite
@@ -155,8 +238,7 @@ class TestTwistedConjugation:
         assert twisted_conjugation_matrix(CliffordElement.scalar(3, 1)) == RatMatrix.identity(3)
 
     def test_reflection(self):
-        g = CliffordElement.basis_vector(4, 0)
-        assert twisted_conjugation_matrix(g) == RatMatrix.diagonal([-1, 1, 1, 1])
+        assert twisted_conjugation_matrix(e(4, 0)) == RatMatrix.diagonal([-1, 1, 1, 1])
 
     def test_rotation_bivector(self):
         assert twisted_conjugation_matrix(e(4, 0, 1)) == RatMatrix.diagonal([-1, -1, 1, 1])
@@ -205,12 +287,11 @@ def _dense_twisted_conjugation(g):
         raise NotAVersor("reference route")
     columns = []
     for i in range(n):
-        image = _reference_product(
-            _reference_product(g.grade_involution(), CliffordElement.basis_vector(n, i)), rev
-        )
-        if image.grades() != {1}:
+        e_i = CliffordElement(n, {1 << i: 1})
+        image = _reference_product(_reference_product(g.grade_involution(), e_i), rev)
+        if grades(image) != {1}:
             raise NotVectorPreserving("reference route")
-        columns.append([c / norm.terms[0] for c in image.vector_coefficients()])
+        columns.append([image.terms.get(1 << k, 0) / norm.terms[0] for k in range(n)])
     return RatMatrix(zip(*columns))
 
 
@@ -220,7 +301,6 @@ class TestLiftOrthogonal:
 
     def test_reflection_lifts_to_vector_multiple(self):
         g = lift_orthogonal(RatMatrix.diagonal([-1, 1, 1]))
-        assert g.grades() == {1}
         assert g.terms.keys() == {0b001}
 
     def test_pythagorean_rotation_round_trip(self):
@@ -239,7 +319,7 @@ class TestLiftOrthogonal:
         assert twisted_conjugation_matrix(g) == a
         norm = g * g.reversal()
         assert norm.terms.keys() == {0} and norm.terms[0] > 0
-        parities = {k % 2 for k in g.grades()}
+        parities = {k % 2 for k in grades(g)}
         assert parities == ({0} if a.det() == 1 else {1})
 
 
@@ -282,9 +362,8 @@ class TestLiftFactors:
         assert len(factors) <= a.n
         assert len(factors) % 2 == (0 if a.det() == 1 else 1)
         for v in factors:
-            coords = v.vector_coefficients()
-            assert all(c.denominator == 1 for c in coords)
-            assert math.gcd(*(int(c) for c in coords)) == 1
+            assert grades(v) == {1}
+            assert v.den == 1 and math.gcd(*(c for _, c in v.num)) == 1
         product = reduce(mul, factors, CliffordElement.scalar(a.n, 1))
         assert product == lift_orthogonal(a) == _reference_lift(a)
 
@@ -379,7 +458,7 @@ class TestCommutatorProduct:
             commutator_product([g, h])
 
     def test_rejects_non_versor_factor(self):
-        e1 = CliffordElement.basis_vector(4, 0)
+        e1 = e(4, 0)
         for bad in (CliffordElement(4, {}), CliffordElement(4, {0: 1, 0b1111: 1})):
             with pytest.raises(NotAVersor):
                 commutator_product([[e1, bad], [e1]])
@@ -423,7 +502,7 @@ def test_volume_element_centrality(v4, v6):
     # even n: omega commutes with even versors, anti-commutes with odd ones
     for v in (v4, v6):
         w = omega(v.n)
-        parity = next(iter({k % 2 for k in v.grades()}))
+        parity = next(iter({k % 2 for k in grades(v)}))
         if parity == 0:
             assert w * v == v * w
         else:

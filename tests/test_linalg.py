@@ -23,7 +23,6 @@ from pglrep.linalg import (
     NotOrthogonal,
     OrthComponent,
     RatMatrix,
-    as_fraction,
     commutator,
     component,
     integer_product,
@@ -112,9 +111,9 @@ def test_commutator_size_mismatch():
     "make,error,match",
     [
         (lambda: RatMatrix.identity(2) * RatMatrix.identity(3), BadShape, "size mismatch: 2 vs 3"),
-        (lambda: as_fraction(0.5), TypeError, "not an exact rational"),
-        (lambda: as_fraction(True), TypeError, "not an exact rational"),
-        (lambda: as_fraction(None), TypeError, "not an exact rational"),
+        (lambda: RatMatrix([[0.5]]), TypeError, "not an exact rational"),
+        (lambda: RatMatrix([[True]]), TypeError, "not an exact rational"),
+        (lambda: RatMatrix([[None]]), TypeError, "not an exact rational"),
         # iterated, a str row yields its characters and a bytes row its byte values
         (lambda: RatMatrix(["12", "34"]), BadShape, "row must be a sequence of entries"),
         (lambda: RatMatrix([b"1"]), BadShape, "row must be a sequence of entries"),
@@ -143,6 +142,9 @@ def test_commutator_size_mismatch():
         (lambda: lift_orthogonal(None), BadShape, "need a RatMatrix, got None"),
         (lambda: twisted_conjugation_matrix(None), ValueError, "need a CliffordElement, got None"),
         (lambda: commutator_product(None), ValueError, "even-length list of lifts"),
+        (lambda: commutator_product([None, None]), ValueError, "CliffordElement or a sequence"),
+        (lambda: commutator_product("ab"), ValueError, "CliffordElement or a sequence"),
+        (lambda: CliffordElement.vector(4, None), ValueError, "need 4 coordinates, got None"),
     ],
     ids=[
         "matmul-size", "float", "bool", "none", "str-rows", "bytes-row", "bytearray-row",
@@ -150,6 +152,7 @@ def test_commutator_size_mismatch():
         "none-table", "int-row", "reflect-none", "none-diagonal", "int-diagonal",
         "none-block", "commutator-none", "zero-identity", "negative-identity", "no-blocks",
         "lift-factors-none", "lift-orthogonal-none", "twisted-none", "commutator-product-none",
+        "commutator-product-none-lifts", "commutator-product-str", "vector-none",
     ],
 )
 def test_mismatched_sizes_and_non_rationals_rejected(make, error, match):
@@ -176,41 +179,15 @@ def test_non_square_tables_rejected(rows):
 @pytest.mark.parametrize("text", ["0.5", " 1", "1_0", "1e3", "1e10000000"])
 def test_only_integer_and_p_over_q_strings_are_rationals(text):
     with pytest.raises(ValueError):
-        as_fraction(text)
-    with pytest.raises(ValueError):
         RatMatrix([[text]])
     with pytest.raises(ValueError):
         CliffordElement.scalar(4, text)
 
 
-class _Ratio(Fraction):
-    """A Fraction subclass, which the constructor reads through the general path."""
-
-
-def _rational_text(sign, zeros, p, q):
-    return f"{sign}{'0' * zeros}{p}" if q is None else f"{sign}{'0' * zeros}{p}/{'0' * zeros}{q}"
-
-
-# every kind of exact entry: "p/q" strings signed, unreduced and with leading zeros
-exact_entries = st.one_of(
-    st.integers(min_value=-(10**20), max_value=10**20),
-    st.fractions(max_denominator=10**6),
-    st.fractions(max_denominator=50).map(_Ratio),
-    st.builds(
-        _rational_text,
-        st.sampled_from(("", "+", "-")),
-        st.integers(min_value=0, max_value=3),
-        st.integers(min_value=0, max_value=10**6),
-        st.none() | st.integers(min_value=1, max_value=10**4),
-    ),
-    st.sampled_from(("-0/3", "0/7", "+6/4", "-010/0004")),
-)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(min_value=1, max_value=8))
 def test_constructor_matches_a_fraction_reference(data, n):
-    table = [[data.draw(exact_entries) for _ in range(n)] for _ in range(n)]
+    table = [[data.draw(randmat.exact_entries) for _ in range(n)] for _ in range(n)]
     m = RatMatrix(table)
     ref = [[Fraction(x) for x in row] for row in table]
     # the lcm of the reduced denominators, and each numerator over it
@@ -218,7 +195,7 @@ def test_constructor_matches_a_fraction_reference(data, n):
     assert m.den == den
     assert m.num == tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in ref)
     assert all(type(x) is int for x in chain.from_iterable(m.num))
-    assert all(as_fraction(x) == y for x, y in zip(chain(*table), chain(*ref)))
+    assert m.rows == tuple(map(tuple, ref))
 
 
 @pytest.mark.parametrize(

@@ -38,10 +38,11 @@ ALLOWED = {
     "frozen.Frozen.__repr__": "the immutable-value idiom: the default repr",
     "frozen.Frozen.__reduce__": "the immutable-value idiom: pickle and copy",
     "linalg.RatMatrix.__reduce__": "pickle and copy rebuild a matrix through _of",
+    "clifford.CliffordElement.__reduce__": "pickle and copy rebuild an element through _of",
+    "clifford.CliffordElement.terms": "the Fraction view that the tests and perfbench's clifford hook read",
     "linalg.RatMatrix.__repr__": "one of the three arithmetic reprs",
     "clifford.CliffordElement.__repr__": "one of the three arithmetic reprs",
     "poincare.IntPolynomial.__repr__": "one of the three arithmetic reprs",
-    "clifford.CliffordElement.__hash__": "its terms are a dict, so Frozen's hash cannot take them",
     "poincare.IntPolynomial.degree": "criterion 8 reads it once pt_so3(0, g) has a source",
     "poincare.IntPolynomial.__call__": "criterion 8 reads it once pt_so3(0, g) has a source",
     "classify.tensor_by_line_bundle": "Stiefel-Whitney classes of V (x) L; ROADMAP item 15",

@@ -308,7 +308,7 @@ def test_spin_obstruction_when_a_reflection_norm_vanishes_mod_p(moduli, monkeypa
         s += modulus * ((_sqrt_minus_one(p, q) - s) * pow(modulus, -1, q) % q)
         modulus *= q
     r = randmat.householder([s, 1, 0, 0]) * RatMatrix.diagonal([1, 1, -1, 1])
-    norms = [sum(c * c for c in f.vector_coefficients()) for f in lift_factors(r)]
+    norms = [sum(c * c for c in f.terms.values()) for f in lift_factors(r)]
     assert all(any(uu % p**k == 0 for uu in norms) for p, k in moduli)
     a = RatMatrix.diagonal([-1, -1, 1, 1])
     b = RatMatrix.diagonal([-1, 1, -1, 1])

@@ -85,7 +85,7 @@ CASES = {
         lambda: CliffordElement(4, {0: "1", 0b0110: "4/6", 0b1000: 0}),
         lambda: CliffordElement(4, {0b0110: Fraction(2, 3), 0: 2}),
         "Cl(4):1*1 + 2/3*e2e3",
-        ("n", "terms"),
+        ("n", "num", "den"),
     ),
     "IntPolynomial": (
         lambda: IntPolynomial((1, 0, -1)),
