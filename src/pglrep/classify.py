@@ -72,9 +72,11 @@ class FinAbGroup(Frozen):
 
     def _combine(self, op, a: Element, b: Element) -> Element:
         try:
-            return self.reduce(list(map(op, a, b)))
+            if len(a) == len(b):  # map would stop at the shorter one
+                return self.reduce(list(map(op, a, b)))
         except TypeError:
             raise BadInput(f"elements must be sequences of ints, got {a!r} and {b!r}") from None
+        raise BadInput(f"elements have different lengths, got {a!r} and {b!r}")
 
     def add(self, a: Element, b: Element) -> Element:
         return self._combine(add, a, b)
@@ -315,23 +317,19 @@ def component_count(n: int, g: int) -> int:
     return 2 ** (2 * g + 1) + 2
 
 
-def components_per_class(cls: InvariantClass, n: int, g: int) -> int:
-    """Components of one invariant class: 2 for (0, z0), else 1.
+def components_by_class(g: int, n: int) -> list[tuple[InvariantClass, int]]:
+    """Each class of invariant_classes(g, n), in order, with its number of
+    components: 2 for (0, z0), else 1.
 
     The doubled class is the one containing the contractible family of
-    deformations with maximal symmetry breaking; summing over all classes
-    recovers component_count.
+    deformations with maximal symmetry breaking; the counts sum to
+    component_count.
     """
-    _check_g_n(g, n)
-    if not isinstance(cls, InvariantClass):
-        raise BadInput(f"class must be an InvariantClass, got {cls!r}")
-    if len(cls.mu1) != 2 * g:
-        raise BadInput(f"class has mu1 length {len(cls.mu1)}, expected {2 * g}")
-    # z0 is a w2 value; over mu1 = 0 with an even-degree twist, w2 = 0 and
-    # w2 = 1 correspond to mu2 = 0 and mu2 = 1 respectively.
-    if cls.mu1_is_zero and cls.mu2 == (Mu2Value.ONE if z0(n, g) else Mu2Value.ZERO):
-        return 2
-    return 1
+    # invariant_classes checks g and n; z0 is a w2 value, and over mu1 = 0
+    # with an even-degree twist w2 = 0 and w2 = 1 are mu2 = 0 and mu2 = 1
+    classes = invariant_classes(g, n)
+    doubled = Mu2Value.ONE if z0(n, g) else Mu2Value.ZERO
+    return [(cls, 2 if cls.mu2 is doubled and cls.mu1_is_zero else 1) for cls in classes]
 
 
 class TwistedClass(Frozen):
@@ -388,7 +386,7 @@ class ComponentReport(Frozen):
     def __init__(self, deg: int, entries: Iterable[tuple[TwistedClass, int, int]]):
         object.__setattr__(self, "deg", deg)
         entries = as_tuple(BadInput, "entries", entries)
-        object.__setattr__(self, "entries", tuple(map(tuple, entries)))
+        object.__setattr__(self, "entries", tuple(as_tuple(BadInput, "each entry", e) for e in entries))
 
     @property
     def total(self) -> int:

@@ -213,12 +213,8 @@ def cmd_classify(args) -> int:
 
 def cmd_components(args) -> int:
     rows = [
-        {
-            "mu1": cls.mu1_string(),
-            "mu2": cls.mu2.value,
-            "components": classify.components_per_class(cls, args.n, args.genus),
-        }
-        for cls in classify.invariant_classes(args.genus, args.n)
+        {"mu1": cls.mu1_string(), "mu2": cls.mu2.value, "components": count}
+        for cls, count in classify.components_by_class(args.genus, args.n)
     ]
     payload = {"per_class": rows, "total": sum(row["components"] for row in rows)}
     return _emit(args, payload, _table(rows, {"total": payload["total"]}))

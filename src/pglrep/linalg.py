@@ -271,23 +271,28 @@ def product(lhs, rhs):
 
 def integer_product(lhs: tuple, rhs: tuple) -> tuple:
     """The product of two n x n integer tables, n <= MAX_DIM, as a table of
-    tuples, not reduced.  BadShape unless both are n x n for the same n."""
-    n = len(lhs)
-    kernel = _product_kernel(n)
+    tuples, not reduced.  BadShape unless both are n x n tables of numbers
+    for the same n."""
     try:
+        kernel = _product_kernel(len(lhs))
         return kernel(lhs, rhs)
-    except ValueError:
-        # rhs, or a row of either, of another length than n fails to unpack
-        raise BadShape(f"the tables are not both {n}x{n}") from None
+    except BadShape:
+        raise
+    except (TypeError, ValueError):
+        # a non-table, or one of another shape, fails to unpack; a non-number, to multiply
+        raise BadShape("the tables are not both n x n tables of numbers for one n") from None
 
 
 def lowest_terms(num: tuple, den: int) -> tuple[tuple, int]:
     """The integer table num over den divided by their gcd, with one gcd
-    pass over the entries, none when den = 1."""
-    if den != 1:
-        g = math.gcd(den, *chain.from_iterable(num))
-        if g != 1:
-            return tuple(tuple([x // g for x in row]) for row in num), den // g
+    pass over the entries, none when den = 1 (so num is not read then)."""
+    try:
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                return tuple(tuple([x // g for x in row]) for row in num), den // g
+    except TypeError:
+        raise BadShape("need a table of ints over an int denominator") from None
     return num, den
 
 

@@ -16,7 +16,7 @@ from pglrep.classify import (
     TwistedClass,
     classify_bundles,
     component_count,
-    components_per_class,
+    components_by_class,
     egl_component_counts,
     gamma_subgroup,
     invariant_classes,
@@ -50,7 +50,7 @@ Z = (0, 0, 0, 0)
         lambda: invariant_classes(2.0, 4),
         lambda: invariant_classes(2, 4.0),
         lambda: invariant_classes(True, 4),
-        lambda: components_per_class(InvariantClass(Z, Mu2Value.ZERO), 4, 2.0),
+        lambda: components_by_class(2.0, 4),
         lambda: egl_component_counts(0, 2.0, 4),
         lambda: egl_component_counts(0.0, 2, 4),
         lambda: egl_component_counts(True, 2, 4),
@@ -127,10 +127,6 @@ class TestGroups:
         (lambda: z0(-2, 2), "n must be even and >= 4, got -2"),
         (lambda: z0(0, 2), "n must be even and >= 4, got 0"),
         (lambda: z0(2, 2), "n must be even and >= 4, got 2"),
-        (
-            lambda: components_per_class(InvariantClass((0,) * 6, Mu2Value.ZERO), 4, 2),
-            "mu1 length 6, expected 4",
-        ),
         (lambda: z0(4, 1), "genus must be >= 2, got 1"),
         (lambda: z0(4, -3), "genus must be >= 2, got -3"),
         (
@@ -138,7 +134,6 @@ class TestGroups:
             "need an InvariantClass and a LiftTarget",
         ),
         (lambda: lifts_to(Z, LiftTarget.SO), "need an InvariantClass and a LiftTarget"),
-        (lambda: components_per_class(Z, 4, 2), "must be an InvariantClass"),
         (
             lambda: project_twisted(InvariantClass(Z, Mu2Value.ZERO)),
             "must be a TwistedClass",
@@ -167,16 +162,20 @@ class TestGroups:
             "each endomorphism must be a sequence, got None",
         ),
         (lambda: ComponentReport(0, None), "entries must be a sequence, got None"),
+        (lambda: ComponentReport(0, [None]), "each entry must be a sequence, got None"),
+        # map would stop at the shorter operand and drop the rest of the longer one
+        (lambda: FinAbGroup((2,)).add((1, 5), (1,)), "elements have different lengths"),
+        (lambda: FinAbGroup((2,)).sub((1,), (1, 5)), "elements have different lengths"),
     ],
     ids=[
         "reduce-length", "endomorphism-count", "image-count", "order", "z0-odd-n", "z0-n-negative",
-        "z0-n-zero", "z0-n-two", "mu1-length",
+        "z0-n-zero", "z0-n-two",
         "z0-genus-1", "z0-genus-negative", "lifts-to-target-str", "lifts-to-class-tuple",
-        "per-class-tuple", "project-untwisted", "twisted-genus-0", "twisted-odd-length",
+        "project-untwisted", "twisted-genus-0", "twisted-odd-length",
         "tensor-genus-0", "tensor-genus-1", "tensor-length-mismatch", "kernel-label-outside-pi1",
         "kernel-label-odd-n", "images-none", "gamma-image-none", "classify-image-none",
         "twisted-mu1bar-none", "tensor-f1-none", "add-none", "sub-none", "endomorphism-none",
-        "report-entries-none",
+        "report-entries-none", "report-entry-none", "add-length", "sub-length",
     ],
 )
 def test_shape_and_range_errors(make, match):
@@ -549,18 +548,21 @@ class TestComponentCounts:
         assert component_count(6, 2) == 34
 
     def test_per_class_values(self):
-        assert components_per_class(InvariantClass(Z, Mu2Value.ZERO), 4, 2) == 2
-        assert components_per_class(InvariantClass(Z, Mu2Value.ONE), 4, 2) == 1
-        assert components_per_class(InvariantClass((1, 0, 0, 0), Mu2Value.OMEGA), 4, 2) == 1
-        # z0(6, 2) = 1 moves the doubled class
-        assert components_per_class(InvariantClass(Z, Mu2Value.ONE), 6, 2) == 2
-        assert components_per_class(InvariantClass(Z, Mu2Value.ZERO), 6, 2) == 1
+        def doubled(n):
+            return [cls for cls, count in components_by_class(2, n) if count == 2]
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+        assert doubled(4) == [InvariantClass(Z, Mu2Value.ZERO)]
+        # z0(6, 2) = 1 moves the doubled class
+        assert doubled(6) == [InvariantClass(Z, Mu2Value.ONE)]
+        assert dict(components_by_class(2, 4))[InvariantClass((1, 0, 0, 0), Mu2Value.OMEGA)] == 1
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_sum_over_classes_matches_total(self, n, g):
-        classes = invariant_classes(g, n)
-        assert sum(components_per_class(c, n, g) for c in classes) == component_count(n, g)
+        table = components_by_class(g, n)
+        assert [cls for cls, _ in table] == invariant_classes(g, n)
+        assert {count for _, count in table} == {1, 2}
+        assert sum(count for _, count in table) == component_count(n, g)
 
 
 class TestEglCounts:

@@ -4,7 +4,7 @@ representation, in one table: widening the domain means editing
 
 import pytest
 
-from pglrep.classify import BadInput, invariant_classes, po_bundle_data
+from pglrep.classify import BadInput, components_by_class, invariant_classes, po_bundle_data
 from pglrep.construct import BadDimension, PairKind, build_representation, catalogue_matrix, pair_for
 from pglrep.linalg import BadShape, RatMatrix
 from pglrep.surfrep import InvalidClass, InvariantClass, Mu2Value, SurfaceRep
@@ -26,28 +26,29 @@ CALLS = {
     "pair_for": lambda g, n: pair_for(PairKind.ANTICOMMUTING, (0, 0), n),
     "catalogue_matrix": lambda g, n: catalogue_matrix("X", n),
     "invariant_classes": invariant_classes,
+    "components_by_class": components_by_class,
     "po_bundle_data": lambda g, n: po_bundle_data(n),
 }
 
 OK = None
-REFUSED_N = (BadShape, BadDimension, BadDimension, BadDimension, BadInput, BadInput)
-NOT_INT_G = (BadShape, BadDimension, OK, OK, BadInput, OK)
+REFUSED_N = (BadShape, BadDimension, BadDimension, BadDimension, BadInput, BadInput, BadInput)
+NOT_INT_G = (BadShape, BadDimension, OK, OK, BadInput, BadInput, OK)
 
 # (genus, n, what each of CALLS, in its order, does: OK or the error type);
 # a list, not a dict, because (2, 4.0) == (2, 4) and (True, 4) == (1, 4)
 DOMAIN = [
-    (2, 2, (BadShape, BadDimension, BadDimension, OK, BadInput, BadInput)),
+    (2, 2, (BadShape, BadDimension, BadDimension, OK, BadInput, BadInput, BadInput)),
     (2, 3, REFUSED_N),
-    (2, 4, (OK,) * 6),
-    (2, 6, (OK,) * 6),
-    (2, 16, (OK,) * 6),
+    (2, 4, (OK,) * 7),
+    (2, 6, (OK,) * 7),
+    (2, 16, (OK,) * 7),
     (2, 17, REFUSED_N),
     # linalg.MAX_DIM caps what builds a matrix; class enumeration has no cap
-    (2, 18, (BadShape, BadDimension, BadDimension, BadDimension, OK, OK)),
-    (1, 4, (BadShape, InvalidClass, OK, OK, BadInput, OK)),
-    (8, 4, (OK,) * 6),
+    (2, 18, (BadShape, BadDimension, BadDimension, BadDimension, OK, OK, OK)),
+    (1, 4, (BadShape, InvalidClass, OK, OK, BadInput, BadInput, OK)),
+    (8, 4, (OK,) * 7),
     # classify.MAX_GENUS caps the enumeration only
-    (9, 4, (OK, OK, OK, OK, BadInput, OK)),
+    (9, 4, (OK, OK, OK, OK, BadInput, BadInput, OK)),
     (2, 4.0, REFUSED_N),
     (2, True, REFUSED_N),
     (4.0, 4, NOT_INT_G),

@@ -492,8 +492,14 @@ def test_kernels_refuse_dimensions_above_the_cap():
         (((1, 2), (3, 4), (5, 6)), ((1, 0), (0, 1))),
         (((1, 2),), ((1, 0), (0, 1))),
         ((), ()),
+        (None, None),
+        (((1, 0), (0, 1)), None),
+        (((1, None), (0, 1)), ((1, 0), (0, 1))),
     ],
-    ids=["long-lhs-rows", "short-rhs-rows", "ragged-lhs", "tall-lhs", "short-lhs", "empty"],
+    ids=[
+        "long-lhs-rows", "short-rhs-rows", "ragged-lhs", "tall-lhs", "short-lhs", "empty",
+        "none", "rhs-none", "none-entry",
+    ],
 )
 def test_product_refuses_tables_that_are_not_both_n_by_n(lhs, rhs):
     with pytest.raises(BadShape):
@@ -507,6 +513,16 @@ def test_lowest_terms():
     # den = 1, or no common factor: the table itself comes back
     assert lowest_terms(table, 1)[0] is table
     assert lowest_terms(table, 3) == (table, 3) and lowest_terms(table, 3)[0] is table
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [(None, 2), (((1, None),), 2), (((1, 2),), None), (((Fraction(1, 2),),), 2)],
+    ids=["none", "none-entry", "none-den", "fraction-entry"],
+)
+def test_lowest_terms_refuses_what_is_not_a_table_of_ints(num, den):
+    with pytest.raises(BadShape, match="table of ints over an int denominator"):
+        lowest_terms(num, den)
 
 
 def test_equal_values_with_different_denominators():
